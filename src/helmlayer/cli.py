@@ -6,8 +6,8 @@ CSV tables plus a result.json stamped with the schema version.  Exit
 codes: 0 success, 2 config parse error, 3 validation error, 4 numerical
 failure (including threshold violations in self-check jobs).
 
-Given the same config and seed the primary output files are
-byte-identical run to run; wall-clock timings (inherently
+Given the same config, seed and BLAS thread count the primary output
+files are byte-identical run to run; wall-clock timings (inherently
 non-deterministic) go to a separate timings.json sidecar.
 """
 
@@ -444,8 +444,9 @@ def build_parser():
         "--workers",
         type=int,
         default=0,
-        help="worker hint (results are identical for any value; heavy "
-        "array work is delegated to the BLAS thread pool)",
+        help="worker hint, recorded only (heavy array work runs in the BLAS "
+        "thread pool; results are bitwise reproducible for a fixed BLAS "
+        "thread count, set through OPENBLAS_NUM_THREADS)",
     )
     ap.add_argument("--tolerance", type=float, default=None, help="rtol override")
     ap.add_argument("--seed", type=int, default=0, help="random seed (u64)")

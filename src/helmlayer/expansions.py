@@ -207,7 +207,11 @@ def _power_family(medium, cid, alpha, beta, X, p_orders, m_orders, spec):
         return out.reshape(lam.shape[0], -1)
 
     def f_sym(lam, dinfo=None):
-        return vec(lam, +1, dinfo) + vec(lam, -1, dinfo)
+        # in place: a third (nodes x orders^2) temporary per panel is enough
+        # to make the allocator return and re-fault those pages every panel
+        out = vec(lam, +1, dinfo)
+        out += vec(lam, -1, dinfo)
+        return out
 
     branch = sorted(set(medium.wavenumbers))
     segs = _build_segments(

@@ -12,12 +12,15 @@ The translation matrices depend only on the (quantized) image-frame
 offset between box centers, so each level needs a few dozen spectral
 quadratures regardless of N.  Near-field interactions go through a
 frozen composite rule that shares one interface solve per node across
-every pair.  The same-layer free-space part runs as a standard Graf FMM
-pass with direct Hankel sums in the near field.
+every pair, in separable form: per-node moments of each source leaf,
+applied to the points of each target box.  The same-layer free-space
+part runs as a standard Graf FMM pass with direct Hankel sums in the
+near field.
 
 Passes are evaluated in sorted box order with plain accumulation, so
-outputs are deterministic and independent of any worker configuration
-(parallelism inside numpy does not reorder these reductions).
+outputs are bitwise reproducible for a fixed BLAS thread count.  A
+different thread count may reorder the reductions inside BLAS calls and
+move results in the last bits (about 1e-16 relative).
 """
 
 import math
@@ -255,20 +258,28 @@ def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, rul
 
     near, far_leaf = interaction_lists(leaf_t.keys(), leaf_s.keys(), config.c0)
 
-    # near field: direct batched kernel evaluation
+    # near field, separable in x: each source leaf is folded once into
+    # per-node moments (C, S), a target box sums the moments of its near
+    # leaves and applies them to its points.  Abscissae are measured from
+    # the tree's center line to keep the phases lam * x small
+    x_ref = tree.origin[0] + 0.5 * tree.side
+    moments = {}
     for b in leaf_t:
-        tl = leaf_t[b]
         src_boxes = [s for s in near[b] if s in leaf_s]
         if not src_boxes:
             continue
-        sl = np.concatenate([leaf_s[s] for s in src_boxes]) - n_tgt
-        ti = np.repeat(tl, sl.shape[0])
-        sj = np.tile(sl, tl.shape[0])
-        vals = rule.eval_batch(
-            alphas[ti], betas[sj], tgt_xy[ti, 0] - src_xy[sj, 0]
+        for s in src_boxes:
+            if s not in moments:
+                j = leaf_s[s] - n_tgt
+                moments[s] = rule.source_moments(
+                    betas[j], src_xy[j, 0] - x_ref, src_q[j]
+                )
+        C = sum(moments[s][0] for s in src_boxes)
+        S = sum(moments[s][1] for s in src_boxes)
+        tl = leaf_t[b]
+        out[tgt_idx[tl]] += rule.eval_moments(
+            alphas[tl], tgt_xy[tl, 0] - x_ref, C, S
         )
-        acc = (src_q[sj] * vals).reshape(tl.shape[0], sl.shape[0]).sum(axis=1)
-        out[tgt_idx[tl]] += acc
 
     if level < 2:
         return

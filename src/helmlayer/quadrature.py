@@ -813,10 +813,16 @@ class FrozenComponentRule:
 
     Adapts once on a handful of worst-case probe geometries, freezes the
     union of the panel sets, and solves the interface systems a single
-    time per node.  Batch evaluation is then one dense pass of
-    exponentials per (target, source) pair, which is what makes direct
-    reference sums and FMM near fields affordable.  Requires a pole-free
-    medium (shipped FMM configurations are checked for that).
+    time per node.  The kernel
+    sum_nu 2 w sigma e^{-h_t alpha} e^{-h_s beta} cos(lam (x - x'))
+    separates in x, because cos lam(x - x') = cos lam x cos lam x' +
+    sin lam x sin lam x': ``source_moments`` folds a set of sources into
+    two per-node vectors and ``eval_moments`` applies them to targets, so
+    a sum over n_t targets and n_s sources costs O((n_t + n_s) * nodes)
+    exponentials.  That is what FMM near fields use.  ``eval_batch`` and
+    ``eval_one`` evaluate pair by pair and are the oracle for it (and the
+    kernel of ``direct_sum``).  Requires a pole-free medium (shipped FMM
+    configurations are checked for that).
     """
 
     def __init__(
@@ -860,16 +866,28 @@ class FrozenComponentRule:
             (0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi), 0.5 * x_max),
         ]
         # union of the adapted panel edges across all probes; the segment
-        # lists are identical by construction so edges merge per segment
+        # lists are identical by construction so edges merge per segment.
+        # Every probe starts from the same panels and bisects them the same
+        # way, so sigma is solved once per distinct panel and shared
+        sig_memo = {}
+
+        def sig(lam, dinfo):
+            key = lam.tobytes()
+            if dinfo is not None:
+                key = (key, dinfo[0], dinfo[1].tobytes())
+            if key not in sig_memo:
+                sig_memo[key] = sigma_component_batch(
+                    medium, lam, cid, dinfo=dinfo
+                )
+            return sig_memo[key]
+
         seg_edges = None
         segments = None
         for alpha, beta, X in probes:
             e_sym = _exp_factor_half(medium, cid, alpha, beta, X)
 
             def f(lam, dinfo=None, _e=e_sym):
-                return sigma_component_batch(medium, lam, cid, dinfo=dinfo) * _e(
-                    lam, dinfo
-                )
+                return sig(lam, dinfo) * _e(lam, dinfo)
 
             segs = _build_segments(f, 0.0, lam_max, branch, x_max)
             res = adaptive_segments(
@@ -909,8 +927,34 @@ class FrozenComponentRule:
         e = np.exp(-self.ht * alpha - self.hs * beta)
         return complex(np.sum(self._wsig * e * 2.0 * np.cos(self.lam * X)))
 
+    def source_moments(self, beta, x, q):
+        """Per-node sums (C, S) of sources with offsets beta, abscissae x.
+
+        C_nu = sum_j q_j e^{-h_s beta_j} cos(lam_nu x_j), S likewise with
+        sin.  Moments of disjoint source sets add.
+        """
+        q = np.asarray(q, dtype=complex)
+        e = np.exp(-np.outer(np.asarray(beta, dtype=float), self.hs))
+        phase = np.outer(np.asarray(x, dtype=float), self.lam)
+        return q @ (e * np.cos(phase)), q @ (e * np.sin(phase))
+
+    def eval_moments(self, alpha, x, C, S):
+        """Sum over the sources behind (C, S) at targets (alpha, x).
+
+        x must be measured from the same origin as the sources' abscissae.
+        """
+        e = np.exp(-np.outer(np.asarray(alpha, dtype=float), self.ht))
+        phase = np.outer(np.asarray(x, dtype=float), self.lam)
+        return (e * np.cos(phase)) @ (2.0 * self._wsig * C) + (
+            e * np.sin(phase)
+        ) @ (2.0 * self._wsig * S)
+
     def eval_batch(self, alpha, beta, X, chunk=512):
-        """Component values for arrays of (alpha, beta, X) triples."""
+        """Component values for arrays of (alpha, beta, X) triples.
+
+        Pairwise evaluation: the reference the separable
+        ``source_moments``/``eval_moments`` path is checked against.
+        """
         alpha = np.asarray(alpha, dtype=float)
         beta = np.asarray(beta, dtype=float)
         X = np.asarray(X, dtype=float)

@@ -1,16 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helmlayer
 from helmlayer.errors import DomainError, ValidationError
 from helmlayer.medium import (
     Dir,
     ReactionComponentId,
     acoustic,
+    admissible_components,
     polarization_image_batch,
+    relevant_interface,
 )
-from helmlayer.quadrature import ContourSpec, green
+from helmlayer.quadrature import ContourSpec, FrozenComponentRule, green
 from helmlayer.fmm import (
     FmmConfig,
     QuadTree,
@@ -25,6 +32,19 @@ from helmlayer.fmm import (
 
 TWO_LAYER = acoustic((0.0,), (1.0, 1.5))
 SLAB = acoustic((0.0, -1.0), (1.0, 2.0, 1.0))
+
+
+def near_interface_cloud(n, rng, gap=0.02):
+    """Half of the points on each side of the interface, the closest at gap."""
+
+    def side(m, sign):
+        ys = sign * (gap + rng.uniform(0.0, 1.0, m))
+        ys[0] = sign * gap
+        return np.column_stack([rng.uniform(-2.0, 2.0, m), ys])
+
+    src = np.vstack([side(n // 2, 1.0), side(n - n // 2, -1.0)])
+    tgt = np.vstack([side(n // 2, 1.0), side(n - n // 2, -1.0)])
+    return SourceSet(src, rng.uniform(0.5, 1.5, n)), tgt
 
 
 class TestConfig:
@@ -185,6 +205,90 @@ class TestEquivalence:
         src = SourceSet(np.array([[0.0, 0.5]]), np.array([1.0]))
         with pytest.raises(DomainError):
             evaluate_all(SLAB, src, np.array([[1.0, 0.5]]), FmmConfig())
+
+
+class TestSeparableNearField:
+    def test_moments_match_pairwise_per_component(self):
+        # the FMM near field: moments of several source groups (leaves)
+        # summed, then applied to the targets, against pairwise eval_batch
+        rng = np.random.default_rng(68)
+        src, tgt = near_interface_cloud(60, rng)
+        x_ref = 0.3
+        for t in (0, 1):
+            txy = tgt[(tgt[:, 1] < 0.0) == bool(t)]
+            for s in (0, 1):
+                sel = (src.xy[:, 1] < 0.0) == bool(s)
+                sxy, sq = src.xy[sel], src.q[sel]
+                for cid in admissible_components(t, s, TWO_LAYER.n_interfaces):
+                    d_t = relevant_interface(TWO_LAYER, t, cid.dir_t)
+                    d_s = relevant_interface(TWO_LAYER, s, cid.dir_s)
+                    alphas = cid.dir_t.tau * (txy[:, 1] - d_t)
+                    betas = cid.dir_s.tau * (sxy[:, 1] - d_s)
+                    rule = FrozenComponentRule(
+                        TWO_LAYER,
+                        cid,
+                        (alphas.min(), alphas.max()),
+                        (betas.min(), betas.max()),
+                        4.0,
+                        rtol=5e-8,
+                    )
+                    groups = np.array_split(np.argsort(sxy[:, 0]), 3)
+                    parts = [
+                        rule.source_moments(betas[g], sxy[g, 0] - x_ref, sq[g])
+                        for g in groups
+                    ]
+                    C = sum(p[0] for p in parts)
+                    S = sum(p[1] for p in parts)
+                    sep = rule.eval_moments(alphas, txy[:, 0] - x_ref, C, S)
+                    nt, ns = txy.shape[0], sxy.shape[0]
+                    pair = rule.eval_batch(
+                        np.repeat(alphas, ns),
+                        np.tile(betas, nt),
+                        (txy[:, 0][:, None] - sxy[:, 0][None, :]).ravel(),
+                    ).reshape(nt, ns) @ sq
+                    assert np.all(np.abs(sep - pair) <= 1e-13 * np.abs(pair))
+
+    def test_fmm_matches_direct_near_interface(self):
+        rng = np.random.default_rng(69)
+        src, tgt = near_interface_cloud(120, rng)
+        config = FmmConfig(eps=1e-6)
+        f = evaluate_all(TWO_LAYER, src, tgt, config)
+        d = direct_sum(TWO_LAYER, src, tgt, rtol=1e-8)
+        assert np.linalg.norm(f - d) / np.linalg.norm(d) < config.eps
+
+
+_RUN_ONCE = """
+import sys
+import numpy as np
+from helmlayer.fmm import FmmConfig, evaluate_all, random_two_layer_cloud
+from helmlayer.medium import acoustic
+m = acoustic((0.0,), (1.0, 1.5))
+src, tgt = random_two_layer_cloud(m, 150, np.random.default_rng(70))
+sys.stdout.write(evaluate_all(m, src, tgt, FmmConfig(eps=1e-6)).tobytes().hex())
+"""
+
+
+class TestReproducibility:
+    def test_bitwise_equal_across_processes_at_one_blas_thread(self):
+        # the documented guarantee: bitwise reproducible for a fixed BLAS
+        # thread count, which can only be pinned before numpy loads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src_dir = str(Path(helmlayer.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", _RUN_ONCE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert len(outs[0]) == 150 * 16 * 2
+        assert outs[0] == outs[1]
 
 
 class TestScalingHelpers:

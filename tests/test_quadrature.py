@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helmlayer import quadrature
 from helmlayer.errors import CoincidentPointsError, DomainError
 from helmlayer.medium import (
     Dir,
@@ -364,3 +365,20 @@ class TestFrozenRule:
     def test_rejects_guided_mode_medium(self):
         with pytest.raises(DomainError):
             FrozenComponentRule(SLAB, UPUP, (0.1, 1.0), (0.1, 1.0), 2.0)
+
+    def test_one_sigma_solve_per_distinct_panel(self, monkeypatch):
+        # the probes adapt on identical segments, so their shared panels
+        # must reuse one sigma solve instead of solving again
+        seen = []
+        solve = quadrature.sigma_component_batch
+
+        def counting(medium, lams, cid, **kwargs):
+            seen.append(np.asarray(lams).tobytes())
+            return solve(medium, lams, cid, **kwargs)
+
+        monkeypatch.setattr(quadrature, "sigma_component_batch", counting)
+        rule = FrozenComponentRule(
+            TWO_LAYER, UPUP, (0.02, 1.0), (0.02, 1.0), 0.5, rtol=5e-8
+        )
+        assert len(seen) == len(set(seen))
+        assert rule.n_nodes == 435

@@ -58,7 +58,7 @@ from .expansions import (
     me_coeffs,
     me_eval,
 )
-from .fmm import FmmConfig, SourceSet, direct_sum, evaluate_all
+from .fmm import FmmConfig, FmmPlan, SourceSet, direct_sum, evaluate_all
 
 __all__ = [
     "Dir",
@@ -104,6 +104,7 @@ __all__ = [
     "me_coeffs",
     "me_eval",
     "FmmConfig",
+    "FmmPlan",
     "SourceSet",
     "direct_sum",
     "evaluate_all",

@@ -15,7 +15,23 @@ frozen composite rule that shares one interface solve per node across
 every pair, in separable form: per-node moments of each source leaf,
 applied to the points of each target box.  The same-layer free-space
 part runs as a standard Graf FMM pass with direct Hankel sums in the
-near field.
+near field; a target that coincides with a source gets no free-space
+term from it (the reaction terms stay finite there and are kept).
+
+None of the operators depends on the source strengths.  ``evaluate_all``
+builds the operators of its call and drops them when it returns, so
+every call on the same inputs costs the same.  ``FmmPlan`` is the same
+FMM for fixed points: it keeps its operators (layered M2L matrices,
+frozen near-field rules, M2M/L2L shift kernels; read-only arrays) until
+it is dropped, so a later ``evaluate`` with new strengths, as an
+iterative solver makes, only applies them.  Within a call or a plan
+each operator is keyed on every input of its build: the component, the
+order P, the contour spec or rtol, and the exact center coordinates
+(for a rule, the exact offset ranges and x range; for a shift kernel,
+the child offset, wavenumber and order).  Shift kernels are built from
+the canonical child offsets (+-1/2 cell on each axis), so each level
+needs four.  Every M2M, L2L and free-space M2L is applied as one
+Toeplitz matrix-vector product per box.
 
 Passes are evaluated in sorted box order with plain accumulation, so
 outputs are bitwise reproducible for a fixed BLAS thread count.  A
@@ -30,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import CoincidentPointsError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .medium import (
     admissible_components,
     polarization_image_batch,
@@ -38,7 +54,7 @@ from .medium import (
     relevant_interface,
 )
 from .quadrature import ContourSpec, FrozenComponentRule, _pole_cache
-from .expansions import choose_truncation, m2l, me_coeffs, regular_orders
+from .expansions import choose_truncation, fs_me, m2l, me_coeffs, regular_orders
 from .special import bessel_j_orders, hankel1_orders
 
 
@@ -209,11 +225,85 @@ def _pass_order(medium, cid, rho_geom, eps, c0=2.0):
 
 
 # ---------------------------------------------------------------------------
+# operators of a call or a plan
+# ---------------------------------------------------------------------------
+
+
+def _freeze(value):
+    """Make the arrays of an operator read-only."""
+    if isinstance(value, np.ndarray):
+        arrays = [value]
+    else:
+        arrays = [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _operator(operators, key, build):
+    """operators[key]; on a miss build() makes it, read-only.
+
+    A key names every input of a build, so a hit returns bitwise what the
+    build returns.
+    """
+    value = operators.get(key)
+    if value is None:
+        value = build()
+        _freeze(value)
+        operators[key] = value
+    return value
+
+
+def _point(x):
+    return (float(x[0]), float(x[1]))
+
+
+def _m2l_matrix(operators, medium, cid, x_cl, x_c, P, spec):
+    x_cl, x_c = _point(x_cl), _point(x_c)
+    return _operator(
+        operators,
+        ("m2l", cid, P, spec, x_cl, x_c),
+        lambda: m2l(medium, cid, x_cl, x_c, P, P, spec).matrix,
+    )
+
+
+def _child_kernels(operators, cell, k, P, tau=1.0, flip=1.0):
+    """Shift kernels J_n(k rho) e^{i n tau theta}, |n| <= 2(P-1), by child.
+
+    A child center sits ((cx - 1/2) cell, (cy - 1/2) cell) from its
+    parent's, cell being the child level's box side; flip = -1 mirrors
+    the y offset, as the preimage frame of a reaction M2M does.
+    """
+    nmax = 2 * P - 2
+    out = {}
+    for cx in (0, 1):
+        for cy in (0, 1):
+            v = (float((cx - 0.5) * cell), float(flip * (cy - 0.5) * cell))
+            out[cx, cy] = _operator(
+                operators,
+                ("shift", v, k, nmax, tau),
+                lambda: regular_orders(v, k, nmax, tau=tau),
+            )
+    return out
+
+
+def _toeplitz(kern, P, sign):
+    """T[i, j] = kern[sign * (p_i - p_j)] over the orders p = -(P-1)..P-1.
+
+    kern holds orders -2(P-1)..2(P-1).  T @ c is the order convolution
+    of an M2M (sign +1), and of an L2L or free-space M2L (sign -1).
+    """
+    p = np.arange(-(P - 1), P)
+    return kern[sign * (p[:, None] - p[None, :]) + 2 * (P - 1)]
+
+
+# ---------------------------------------------------------------------------
 # reaction-component pass
 # ---------------------------------------------------------------------------
 
 
-def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, rules):
+def _reaction_pass(
+    medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, operators
+):
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     d_s = relevant_interface(medium, cid.s, cid.dir_s)
     tau_t = cid.dir_t.tau
@@ -236,18 +326,15 @@ def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, rul
     # frozen near-field rule shared by every pair of this component;
     # near pairs live within the leaf neighborhood, so the oscillation
     # range the rule must resolve is a few leaf cells, not the domain
-    x_near = (near_radius(config.c0) + 1.5) * tree.cell_at(level)
-    rule_key = (cid, round(x_near, 9))
-    if rule_key not in rules:
-        rules[rule_key] = FrozenComponentRule(
-            medium,
-            cid,
-            (float(alphas.min()), float(alphas.max())),
-            (float(betas.min()), float(betas.max())),
-            x_near,
-            rtol=config.eps * 5e-2,
-        )
-    rule = rules[rule_key]
+    x_near = float((near_radius(config.c0) + 1.5) * tree.cell_at(level))
+    a_range = (float(alphas.min()), float(alphas.max()))
+    b_range = (float(betas.min()), float(betas.max()))
+    rtol = config.eps * 5e-2
+    rule = _operator(
+        operators,
+        ("rule", cid, a_range, b_range, x_near, rtol),
+        lambda: FrozenComponentRule(medium, cid, a_range, b_range, x_near, rtol=rtol),
+    )
 
     tgt_local = np.arange(n_tgt)
     img_local = np.arange(n_tgt, n_tgt + n_src)
@@ -292,7 +379,6 @@ def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, rul
             f"target tolerance needs order {P} > configured maximum "
             f"{config.max_order}"
         )
-    orders = np.arange(-(P - 1), P)
     spec = ContourSpec(rtol=max(config.eps * 1e-2, 2e-11))
 
     # upward: leaf multipole coefficients about preimages of box centers
@@ -303,17 +389,18 @@ def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, rul
         me_by_level[level][b] = me.coeffs
 
     for lv in range(level - 1, 1, -1):
+        # the preimage map reverses y, so the y offset flips sign
+        kerns = _child_kernels(
+            operators, tree.cell_at(lv + 1), k_s, P, tau_s, -tau_s * tau_t
+        )
+        up = {c: _toeplitz(kern, P, 1) for c, kern in kerns.items()}
         me_by_level[lv] = {}
         for b, coeffs in sorted(me_by_level[lv + 1].items()):
             parent = (b[0] >> 1, b[1] >> 1)
-            child_c = polarization_preimage(medium, cid, tree.center(b, lv + 1))
-            parent_c = polarization_preimage(medium, cid, tree.center(parent, lv))
-            shift = (child_c[0] - parent_c[0], child_c[1] - parent_c[1])
-            kern = regular_orders(shift, k_s, 2 * P - 2, tau=tau_s)
             acc = me_by_level[lv].setdefault(
                 parent, np.zeros(2 * P - 1, dtype=complex)
             )
-            acc += _convolve_orders(coeffs, kern, orders)
+            acc += up[b[0] & 1, b[1] & 1] @ coeffs
 
     # downward: M2L plus L2L.  For equal wavenumbers the matrix depends
     # only on the image-frame offset; across a wavenumber contrast h_t
@@ -345,8 +432,9 @@ def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, rul
                         # lambda gives A(-X) = A(X) with both order axes
                         # reversed, so one quadrature serves both signs
                         x_c = (2 * x_cl[0] - x_c[0], x_c[1])
-                    tm = m2l(medium, cid, x_cl, x_c, P, P, spec)
-                    m2l_cache[key] = tm.matrix
+                    m2l_cache[key] = _m2l_matrix(
+                        operators, medium, cid, x_cl, x_c, P, spec
+                    )
                 mat = m2l_cache[key]
                 if dix < 0:
                     mat = mat[::-1, ::-1]
@@ -367,36 +455,12 @@ def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, rul
                     P,
                 )
         else:
+            kerns = _child_kernels(operators, tree.cell_at(lv + 1), k_t, P, tau_t)
+            down = {c: _toeplitz(kern, P, -1) for c, kern in kerns.items()}
             le_prev = {}
             for b, coeffs in le_now.items():
-                for cx in (0, 1):
-                    for cy in (0, 1):
-                        child = (2 * b[0] + cx, 2 * b[1] + cy)
-                        shift = (
-                            tree.center(child, lv + 1)[0] - tree.center(b, lv)[0],
-                            tree.center(child, lv + 1)[1] - tree.center(b, lv)[1],
-                        )
-                        kern = regular_orders(shift, k_t, 2 * P - 2, tau=tau_t)
-                        le_prev[child] = _convolve_orders_rev(coeffs, kern, orders)
-
-
-def _convolve_orders(coeffs, kern, orders):
-    """out_p = sum_q c_q kern_{p-q}; kern indexed -2(P-1)..2(P-1)."""
-    P1 = orders.shape[0]
-    mid = (kern.shape[0] - 1) // 2
-    out = np.empty(P1, dtype=complex)
-    for i, p in enumerate(orders):
-        out[i] = np.dot(coeffs, kern[(p - orders) + mid])
-    return out
-
-
-def _convolve_orders_rev(coeffs, kern, orders):
-    """out_m = sum_q c_q kern_{q-m} (the local-shift convolution)."""
-    mid = (kern.shape[0] - 1) // 2
-    out = np.empty(orders.shape[0], dtype=complex)
-    for i, m in enumerate(orders):
-        out[i] = np.dot(coeffs, kern[(orders - m) + mid])
-    return out
+                for (cx, cy), shift in down.items():
+                    le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
 
 
 def _eval_local_at(out, global_idx, coeffs, center, pts, k, tau, P):
@@ -415,7 +479,9 @@ def _eval_local_at(out, global_idx, coeffs, center, pts, k, tau, P):
 # ---------------------------------------------------------------------------
 
 
-def _free_space_pass(medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx):
+def _free_space_pass(
+    medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx, operators
+):
     k = medium.wavenumbers[layer]
     n_tgt = tgt_xy.shape[0]
     n_src = src_xy.shape[0]
@@ -430,7 +496,7 @@ def _free_space_pass(medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx)
     leaf_s = tree.boxes(src_local, level)
     near, _ = interaction_lists(leaf_t.keys(), leaf_s.keys(), config.c0)
 
-    # near field: direct Hankel sums
+    # near field: direct Hankel sums; a zero-distance pair adds nothing
     for b in leaf_t:
         tl = leaf_t[b]
         src_boxes = [s for s in near[b] if s in leaf_s]
@@ -440,9 +506,8 @@ def _free_space_pass(medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx)
         ti = np.repeat(tl, sl.shape[0])
         sj = np.tile(sl, tl.shape[0])
         r = np.hypot(tgt_xy[ti, 0] - src_xy[sj, 0], tgt_xy[ti, 1] - src_xy[sj, 1])
-        if np.any(r == 0.0):
-            raise CoincidentPointsError("source and target coincide in a leaf")
         vals = 0.25j * _sp.hankel1(0, k * r)
+        vals[r == 0.0] = 0.0
         acc = (src_q[sj] * vals).reshape(tl.shape[0], sl.shape[0]).sum(axis=1)
         out[tgt_idx[tl]] += acc
 
@@ -457,31 +522,20 @@ def _free_space_pass(medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx)
             f"target tolerance needs order {P} > configured maximum "
             f"{config.max_order}"
         )
-    orders = np.arange(-(P - 1), P)
 
     me_by_level = {level: {}}
     for b, idx in leaf_s.items():
-        c = tree.center(b, level)
-        sx = src_xy[idx - n_tgt]
-        dx = sx[:, 0] - c[0]
-        dy = sx[:, 1] - c[1]
-        rho = np.hypot(dx, dy)
-        th = np.arctan2(dy, dx)
-        j = bessel_j_orders(k * rho, P - 1)
-        phases = np.exp(-1j * np.outer(orders, th))
-        me_by_level[level][b] = (j * phases) @ src_q[idx - n_tgt]
+        me = fs_me(src_xy[idx - n_tgt], src_q[idx - n_tgt], tree.center(b, level), k, P)
+        me_by_level[level][b] = me.coeffs
 
     for lv in range(level - 1, 1, -1):
+        kerns = _child_kernels(operators, tree.cell_at(lv + 1), k, P)
+        up = {c: _toeplitz(np.conj(kern), P, 1) for c, kern in kerns.items()}
         me_by_level[lv] = {}
         for b, coeffs in sorted(me_by_level[lv + 1].items()):
             parent = (b[0] >> 1, b[1] >> 1)
-            shift = (
-                tree.center(b, lv + 1)[0] - tree.center(parent, lv)[0],
-                tree.center(b, lv + 1)[1] - tree.center(parent, lv)[1],
-            )
-            kern = np.conj(regular_orders(shift, k, 2 * P - 2))
             acc = me_by_level[lv].setdefault(parent, np.zeros(2 * P - 1, dtype=complex))
-            acc += _convolve_orders(coeffs, kern, orders)
+            acc += up[b[0] & 1, b[1] & 1] @ coeffs
 
     m2l_cache = {}
     le_prev = {}
@@ -503,39 +557,30 @@ def _free_space_pass(medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx)
                     th = math.atan2(by, bx)
                     h = hankel1_orders(np.array([k * rho]), nmax)[:, 0]
                     n = np.arange(-nmax, nmax + 1)
-                    m2l_cache[key] = 0.25j * h * np.exp(1j * n * th)
-                o_kern = m2l_cache[key]
-                src_c = me_by_level[lv][s]
-                add = np.empty(2 * P - 1, dtype=complex)
-                for i, q in enumerate(orders):
-                    add[i] = np.dot(src_c, o_kern[(orders - q) + nmax])
-                coeffs += add
+                    m2l_cache[key] = _toeplitz(0.25j * h * np.exp(1j * n * th), P, -1)
+                coeffs += m2l_cache[key] @ me_by_level[lv][s]
             le_now[b] = coeffs
         if lv == level:
             for b, idx in tgt_lv.items():
                 if not np.any(np.abs(le_now[b])):
                     continue
-                c = tree.center(b, lv)
-                pts = tgt_xy[idx]
-                dx = pts[:, 0] - c[0]
-                dy = pts[:, 1] - c[1]
-                rho = np.hypot(dx, dy)
-                th = np.arctan2(dy, dx)
-                j = bessel_j_orders(k * rho, P - 1)
-                phases = np.exp(1j * np.outer(orders, th))
-                out[tgt_idx[idx]] += (le_now[b][:, None] * j * phases).sum(axis=0)
+                _eval_local_at(
+                    out,
+                    tgt_idx[idx],
+                    le_now[b],
+                    tree.center(b, lv),
+                    tgt_xy[idx],
+                    k,
+                    1.0,
+                    P,
+                )
         else:
+            kerns = _child_kernels(operators, tree.cell_at(lv + 1), k, P)
+            down = {c: _toeplitz(kern, P, -1) for c, kern in kerns.items()}
             le_prev = {}
             for b, coeffs in le_now.items():
-                for cx in (0, 1):
-                    for cy in (0, 1):
-                        child = (2 * b[0] + cx, 2 * b[1] + cy)
-                        shift = (
-                            tree.center(child, lv + 1)[0] - tree.center(b, lv)[0],
-                            tree.center(child, lv + 1)[1] - tree.center(b, lv)[1],
-                        )
-                        kern = regular_orders(shift, k, 2 * P - 2)
-                        le_prev[child] = _convolve_orders_rev(coeffs, kern, orders)
+                for (cx, cy), shift in down.items():
+                    le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -544,51 +589,97 @@ def _free_space_pass(medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx)
 
 
 def evaluate_all(medium, sources, targets, config=None):
-    """Total field sum_j q_j G(x_i, x_j) at every target, FMM route."""
-    config = config or FmmConfig()
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if _pole_cache(medium, 1.2 * medium.k_max + 1.0):
-        raise DomainError(
-            "the fast evaluator requires a pole-free medium (guided modes "
-            "need the pointwise pole-corrected quadrature)"
-        )
-    t_layers = _layers_of_batch(medium, targets[:, 1])
-    s_layers = _layers_of_batch(medium, sources.xy[:, 1])
-    out = np.zeros(targets.shape[0], dtype=complex)
-    rules = {}
-    L = medium.n_interfaces
-    for t in sorted(set(t_layers.tolist())):
-        tgt_sel = np.nonzero(t_layers == t)[0]
-        for s in sorted(set(s_layers.tolist())):
-            src_sel = np.nonzero(s_layers == s)[0]
-            for cid in admissible_components(t, s, L):
-                _reaction_pass(
-                    medium,
-                    cid,
-                    sources.xy[src_sel],
-                    sources.q[src_sel],
-                    targets[tgt_sel],
-                    config,
-                    out,
-                    tgt_sel,
-                    rules,
-                )
-            if s == t:
-                _free_space_pass(
-                    medium,
-                    t,
-                    sources.xy[src_sel],
-                    sources.q[src_sel],
-                    targets[tgt_sel],
-                    config,
-                    out,
-                    tgt_sel,
-                )
-    return out
+    """Total field sum_j q_j G(x_i, x_j) at every target, FMM route.
+
+    A target that coincides with a source gets no free-space term from
+    it, so targets may be the sources themselves; the reaction terms are
+    finite there (alpha + beta > 0) and are kept.
+
+    The call builds its operators and drops them when it returns, so
+    every call on the same inputs costs the same.  To apply one set of
+    operators to many strength vectors on fixed points, use ``FmmPlan``.
+    """
+    return FmmPlan(medium, sources.xy, targets, config).evaluate(sources.q)
+
+
+def _frozen_points(xy):
+    xy = np.array(xy, dtype=float, ndmin=2)
+    xy.flags.writeable = False
+    return xy
+
+
+class FmmPlan:
+    """``evaluate_all`` for fixed source positions and targets.
+
+    The first ``evaluate`` builds the operators of the points: layered
+    M2L matrices keyed on (component, P, contour spec, exact center
+    coordinates), frozen near-field rules keyed on (component, exact
+    alpha/beta ranges, x range, rtol) and M2M/L2L shift kernels keyed on
+    (child offset, wavenumber, order, tau).  A later ``evaluate`` with
+    new strengths, as an iterative solver makes, builds none of them
+    and returns bitwise what ``evaluate_all`` returns for those
+    strengths.  The plan keeps copies of the points and its operators,
+    all read-only, until it is dropped: about 5 MB at N = 2000 and
+    eps = 1e-6 on a two-layer medium.
+    """
+
+    def __init__(self, medium, source_xy, targets, config=None):
+        if _pole_cache(medium, 1.2 * medium.k_max + 1.0):
+            raise DomainError(
+                "the fast evaluator requires a pole-free medium (guided modes "
+                "need the pointwise pole-corrected quadrature)"
+            )
+        self.medium = medium
+        self.source_xy = _frozen_points(source_xy)
+        self.targets = _frozen_points(targets)
+        self.config = config or FmmConfig()
+        self._operators = {}
+
+    def evaluate(self, strengths):
+        """Total field at the targets for these source strengths."""
+        medium, config, targets = self.medium, self.config, self.targets
+        sources = SourceSet(self.source_xy, strengths)
+        t_layers = _layers_of_batch(medium, targets[:, 1])
+        s_layers = _layers_of_batch(medium, sources.xy[:, 1])
+        out = np.zeros(targets.shape[0], dtype=complex)
+        L = medium.n_interfaces
+        for t in sorted(set(t_layers.tolist())):
+            tgt_sel = np.nonzero(t_layers == t)[0]
+            for s in sorted(set(s_layers.tolist())):
+                src_sel = np.nonzero(s_layers == s)[0]
+                for cid in admissible_components(t, s, L):
+                    _reaction_pass(
+                        medium,
+                        cid,
+                        sources.xy[src_sel],
+                        sources.q[src_sel],
+                        targets[tgt_sel],
+                        config,
+                        out,
+                        tgt_sel,
+                        self._operators,
+                    )
+                if s == t:
+                    _free_space_pass(
+                        medium,
+                        t,
+                        sources.xy[src_sel],
+                        sources.q[src_sel],
+                        targets[tgt_sel],
+                        config,
+                        out,
+                        tgt_sel,
+                        self._operators,
+                    )
+        return out
 
 
 def direct_sum(medium, sources, targets, rtol=1e-8):
-    """Reference pairwise summation (frozen-rule kernels, O(N^2))."""
+    """Reference pairwise summation (frozen-rule kernels, O(N^2)).
+
+    Like ``evaluate_all``, a zero-distance source/target pair contributes
+    no free-space term; its reaction terms are kept.
+    """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     t_layers = _layers_of_batch(medium, targets[:, 1])
     s_layers = _layers_of_batch(medium, sources.xy[:, 1])
@@ -638,9 +729,8 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
                     dx = txy[i0:i1, 0][:, None] - sxy[None, :, 0]
                     dy = txy[i0:i1, 1][:, None] - sxy[None, :, 1]
                     r = np.hypot(dx, dy)
-                    if np.any(r == 0.0):
-                        raise CoincidentPointsError("coincident source/target")
                     vals = 0.25j * _sp.hankel1(0, k * r)
+                    vals[r == 0.0] = 0.0
                     out[tgt_sel[i0:i1]] += (sq[None, :] * vals).sum(axis=1)
     return out
 

@@ -162,9 +162,10 @@ def adaptive_segments(
     component's accumulated error estimate is below
     max(rtol*|V_c|, rtol*1e-3*max_c|V_c|, atol).  Panels are summed in
     sorted interval order so results are independent of refinement
-    history and worker counts.
+    history and worker counts.  A split panel's entry is dropped: only
+    live panels are ever read again.
     """
-    panels = []  # (seg_idx, ua, ub, val, err, nodes, wts)
+    panels = []  # (seg_idx, ua, ub, val, err, nodes, wts); None once split
     heap = []
     counter = 0
     run_val = None
@@ -208,12 +209,10 @@ def adaptive_segments(
     # refinement priority is error relative to each component's own
     # convergence target; the snapshot is rebuilt whenever the running
     # totals drift, otherwise coarse seed values misallocate the budget
-    dead = set()
-
     def rebuild_heap():
         heap.clear()
         for i, p in enumerate(panels):
-            if i not in dead:
+            if p is not None:
                 heappush(heap, (-float(np.max(p[4] / denom)), i, i))
 
     denom = current_tol()
@@ -236,12 +235,12 @@ def adaptive_segments(
             rebuild_heap()
         while heap:
             _, _, idx = heappop(heap)
-            if idx not in dead:
+            if panels[idx] is not None:
                 break
         else:
             break
         si, ua, ub, val, err, _, _ = panels[idx]
-        dead.add(idx)
+        panels[idx] = None
         run_val -= val
         run_err -= err
         run_abs -= np.abs(val)
@@ -250,17 +249,14 @@ def adaptive_segments(
         push(si, um, ub)
         n_evals += 2
 
-    live = sorted(
-        (i for i in range(len(panels)) if i not in dead),
-        key=lambda i: (panels[i][0], panels[i][1]),
-    )
-    value = sum(panels[i][3] for i in live)
-    err = sum(panels[i][4] for i in live)
+    live = sorted((p for p in panels if p is not None), key=lambda p: (p[0], p[1]))
+    value = sum(p[3] for p in live)
+    err = sum(p[4] for p in live)
     result = QuadResult(value, err, len(live))
     if collect_rule:
-        result.nodes = np.concatenate([panels[i][5] for i in live])
-        result.weights = np.concatenate([panels[i][6] for i in live])
-        result.spans = [(panels[i][0], panels[i][1], panels[i][2]) for i in live]
+        result.nodes = np.concatenate([p[5] for p in live])
+        result.weights = np.concatenate([p[6] for p in live])
+        result.spans = [(p[0], p[1], p[2]) for p in live]
     return result
 
 

@@ -70,25 +70,33 @@ def _series_j_orders(z, pmax):
 
     z : complex ndarray of shape (n,)
     returns (pmax+1, n) complex array
+
+    All orders are summed together; an order's row stops growing at the
+    first term that is negligible at every point of that row.
     """
     n = z.shape[0]
-    out = np.zeros((pmax + 1, n), dtype=complex)
     zh = 0.5 * z
     zh2 = -(zh * zh)
     # leading coefficient (z/2)^p / p! built multiplicatively to avoid
     # overflow of the numerator before the factorial division
-    lead = np.ones(n, dtype=complex)
-    for p in range(pmax + 1):
-        if p > 0:
-            lead = lead * zh / p
-        term = lead.copy()
-        acc = term.copy()
-        for m in range(1, 400):
-            term = term * zh2 / (m * (m + p))
-            acc += term
-            if np.all(np.abs(term) <= 1e-18 * (np.abs(acc) + 1e-300)):
+    out = np.empty((pmax + 1, n), dtype=complex)
+    out[0] = 1.0
+    for p in range(1, pmax + 1):
+        out[p] = out[p - 1] * zh / p
+    live = np.arange(pmax + 1)
+    term = out.copy()
+    for m in range(1, 400):
+        # a 2-d zh2 keeps numpy on the multiply loop of a plain row
+        # product; an (L, 1) * (1,) broadcast rounds differently
+        term = term * zh2[None, :] / (m * (m + live))[:, None]
+        acc = out[live] + term
+        out[live] = acc
+        done = np.all(np.abs(term) <= 1e-18 * (np.abs(acc) + 1e-300), axis=1)
+        if np.any(done):
+            live = live[~done]
+            term = term[~done]
+            if live.size == 0:
                 break
-        out[p] = acc
     return out
 
 

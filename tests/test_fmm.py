@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import helmlayer
+from helmlayer import fmm
 from helmlayer.errors import DomainError, ValidationError
 from helmlayer.medium import (
     Dir,
@@ -20,6 +21,7 @@ from helmlayer.medium import (
 from helmlayer.quadrature import ContourSpec, FrozenComponentRule, green
 from helmlayer.fmm import (
     FmmConfig,
+    FmmPlan,
     QuadTree,
     SourceSet,
     direct_sum,
@@ -255,6 +257,111 @@ class TestSeparableNearField:
         f = evaluate_all(TWO_LAYER, src, tgt, config)
         d = direct_sum(TWO_LAYER, src, tgt, rtol=1e-8)
         assert np.linalg.norm(f - d) / np.linalg.norm(d) < config.eps
+
+
+class TestSelfInteraction:
+    def test_targets_equal_to_sources_match_direct_sum(self):
+        rng = np.random.default_rng(71)
+        src, _ = random_two_layer_cloud(TWO_LAYER, 200, rng)
+        config = FmmConfig(eps=1e-6)
+        f = evaluate_all(TWO_LAYER, src, src.xy, config)
+        d = direct_sum(TWO_LAYER, src, src.xy, rtol=1e-8)
+        assert np.all(np.isfinite(f))
+        assert np.linalg.norm(f - d) / np.linalg.norm(d) < config.eps
+
+    def test_single_point_keeps_its_reaction_term(self):
+        # the free-space part of a point on itself is dropped, the
+        # reflected part is not
+        src = SourceSet(np.array([[0.1, 0.3]]), np.array([1.0]))
+        f = evaluate_all(TWO_LAYER, src, src.xy, FmmConfig(eps=1e-8))
+        d = direct_sum(TWO_LAYER, src, src.xy, rtol=1e-10)
+        assert d[0] != 0.0
+        assert abs(f[0] - d[0]) < 1e-8 * abs(d[0])
+
+
+def _count_builds(monkeypatch):
+    """Counters on the builders the FMM reaches through its module names."""
+    counts = {"m2l": 0, "rule": 0, "shift": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fmm, "m2l", counting("m2l", fmm.m2l))
+    monkeypatch.setattr(
+        fmm, "FrozenComponentRule", counting("rule", fmm.FrozenComponentRule)
+    )
+    monkeypatch.setattr(
+        fmm, "regular_orders", counting("shift", fmm.regular_orders)
+    )
+    return counts
+
+
+class TestFmmPlan:
+    def test_later_evaluate_builds_nothing_and_matches_evaluate_all(self, monkeypatch):
+        counts = _count_builds(monkeypatch)
+        rng = np.random.default_rng(72)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
+        # small leaves give three tree levels, so M2M and L2L run
+        config = FmmConfig(eps=1e-6, leaf_size=10)
+        plan = FmmPlan(TWO_LAYER, src.xy, tgt, config)
+        plan.evaluate(src.q)
+        assert counts["m2l"] > 0 and counts["rule"] > 0 and counts["shift"] > 0
+        built = dict(counts)
+        again = SourceSet(src.xy, rng.uniform(0.5, 1.5, 300))
+        reused = plan.evaluate(again.q)
+        assert counts == built
+        # evaluate_all keeps nothing: each call builds its own operators
+        fresh = evaluate_all(TWO_LAYER, again, tgt, config)
+        evaluate_all(TWO_LAYER, again, tgt, config)
+        assert counts == {name: 3 * n for name, n in built.items()}
+        assert np.array_equal(reused, fresh)
+
+    @pytest.mark.parametrize(
+        "medium, eps",
+        [(TWO_LAYER, 1e-8), (acoustic((0.0,), (1.2, 0.8)), 1e-6)],
+        ids=["finer_eps", "other_wavenumbers"],
+    )
+    def test_later_evaluate_matches_direct_sum(self, medium, eps):
+        rng = np.random.default_rng(73)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
+        plan = FmmPlan(medium, src.xy, tgt, FmmConfig(eps=eps))
+        plan.evaluate(src.q)
+        again = SourceSet(src.xy, rng.uniform(0.5, 1.5, 300))
+        f = plan.evaluate(again.q)
+        d = direct_sum(medium, again, tgt, rtol=eps * 1e-2)
+        assert np.linalg.norm(f - d) / np.linalg.norm(d) < eps
+
+    def test_operators_are_read_only(self):
+        rng = np.random.default_rng(74)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
+        plan = FmmPlan(TWO_LAYER, src.xy, tgt, FmmConfig(eps=1e-6, leaf_size=10))
+        plan.evaluate(src.q)
+        kinds = set()
+        for key, entry in plan._operators.items():
+            kinds.add(key[0])
+            arr = entry if isinstance(entry, np.ndarray) else entry.lam
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        assert kinds == {"m2l", "rule", "shift"}
+
+    def test_plan_keeps_its_own_copy_of_the_points(self):
+        rng = np.random.default_rng(75)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 200, rng)
+        xy, targets = src.xy.copy(), tgt.copy()
+        plan = FmmPlan(TWO_LAYER, xy, targets)
+        xy[:] = 0.5
+        targets[:] = 0.5
+        assert np.array_equal(plan.evaluate(src.q), evaluate_all(TWO_LAYER, src, tgt))
+        with pytest.raises(ValueError):
+            plan.source_xy[0, 0] = 0.0
+
+    def test_guided_mode_medium_rejected_at_construction(self):
+        with pytest.raises(DomainError):
+            FmmPlan(SLAB, [[0.1, 0.3]], [[0.2, 0.4]])
 
 
 _RUN_ONCE = """

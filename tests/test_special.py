@@ -7,6 +7,7 @@ from scipy import special as sp
 from helmlayer.errors import DomainError, OverflowRangeError
 from helmlayer.special import (
     BESSEL_OVERFLOW_RADIUS,
+    _series_j_orders,
     bessel_j,
     bessel_j_orders,
     branch_sqrt,
@@ -33,6 +34,27 @@ def series_j(p, z, nterms=200):
         term *= -(0.25 * z * z) / (m * (m + p))
         acc += term
     return acc
+
+
+def series_j_orders_per_order(z, pmax):
+    """The ascending series one order at a time, each with its own stop."""
+    n = z.shape[0]
+    out = np.zeros((pmax + 1, n), dtype=complex)
+    zh = 0.5 * z
+    zh2 = -(zh * zh)
+    lead = np.ones(n, dtype=complex)
+    for p in range(pmax + 1):
+        if p > 0:
+            lead = lead * zh / p
+        term = lead.copy()
+        acc = term.copy()
+        for m in range(1, 400):
+            term = term * zh2 / (m * (m + p))
+            acc += term
+            if np.all(np.abs(term) <= 1e-18 * (np.abs(acc) + 1e-300)):
+                break
+        out[p] = acc
+    return out
 
 
 class TestBranchSqrt:
@@ -137,6 +159,18 @@ class TestBesselJ:
         for i, zi in enumerate(z):
             for p in (-20, -7, 0, 3, 20):
                 assert m[p + 20, i] == pytest.approx(bessel_j(p, zi), rel=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("pmax", [0, 1, 16, 32])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_all_orders_series_bitwise_equals_per_order_loop(self, n, pmax, kind):
+        rng = np.random.default_rng(1000 * n + pmax)
+        for _ in range(20):
+            z = rng.uniform(0.0, 12.0, n).astype(complex)
+            if kind == "complex":
+                z *= np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+            got = _series_j_orders(z, pmax)
+            assert np.array_equal(got, series_j_orders_per_order(z, pmax))
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowRangeError):

@@ -20,7 +20,10 @@ claim numerically.
 
 All spectral integrals for the order-indexed families share one sigma
 solve per quadrature node: the integrand factors into sigma * E times
-powers of two cached per-node values (-i w_s) and (i / w_t).
+powers of two per-node values (-i w_s) and (i / w_t), and both signs of
+the symmetrized half-line integrand use the same solve.  The quadrature
+takes that factored form as it is, so a panel of an M2L matrix costs
+two small GEMMs instead of a (nodes x orders^2) array.
 """
 
 import math
@@ -37,12 +40,12 @@ from .medium import (
 from .quadrature import (
     ContourSpec,
     Segment,
+    SigmaMemo,
     adaptive_segments,
     _build_segments,
     component_abs_floor,
     tail_cutoff,
 )
-from .sigma import sigma_component_batch
 from .special import (
     bessel_j_orders,
     branch_sqrt_arr,
@@ -162,56 +165,92 @@ def me_coeffs(medium, cid, x_c, sources, strengths, P):
     )
 
 
-def _power_family(medium, cid, alpha, beta, X, p_orders, m_orders, spec):
+def _power_table(z, z_inv, nmax):
+    """z^n for n = -nmax..nmax (columns) by cumulative products."""
+    t = np.ones((z.shape[0], 2 * nmax + 1), dtype=complex)
+    if nmax:
+        up = t[:, nmax + 1 :]
+        down = t[:, nmax - 1 :: -1]
+        up[...] = z[:, None]
+        down[...] = z_inv[:, None]
+        np.cumprod(up, axis=1, out=up)
+        np.cumprod(down, axis=1, out=down)
+    return t
+
+
+def _power_family(
+    medium, cid, alpha, beta, X, p_orders, m_orders, spec, sigma=None
+):
     """Integrals of sigma * E * (-i w_s)^p (i/w_t)^m for all orders at once.
 
-    Each lambda node costs one interface solve shared across every
-    (p, m) pair.  The bounded part runs on the half line with the
-    symmetrized plane-wave factor (sigma is even); the evanescent tails
-    are taken along the Cagniard--de Hoop hyperbola whenever X != 0:
-    on the real axis the high-order integrand peaks exponentially above
-    the integral (the cos(lam X) oscillation cancels it back down),
-    while on the deformed contour it decays pointwise like the result,
-    so no relative accuracy is lost to cancellation.
+    At a node the integrand is the scalar c = sigma * E times the outer
+    product of the rows (-i w_s)^p and (i/w_t)^m, so it is handed to the
+    quadrature in factored form (c, A, B) and each panel's sums are two
+    small GEMMs.  The powers come from cumulative products of per-node
+    tables.  The bounded part runs on the half line with the symmetrized
+    plane-wave factor (sigma is even): the reflected sign reuses the same
+    sigma, h and w at the node, and because (-i w)^(-n) = (i/w)^n its
+    rows are the same tables read at negated orders, stacked as a second
+    term.  sigma comes from ``sigma``, a ``SigmaMemo`` of this component
+    (a fresh one when None): an FMM pass shares one across its matrices,
+    so a node array is solved once per pass.  The evanescent tails are
+    taken along the Cagniard--de Hoop hyperbola whenever X != 0: on the
+    real axis the high-order integrand peaks exponentially above the
+    integral (the cos(lam X) oscillation cancels it back down), while on
+    the deformed contour it decays pointwise like the result, so no
+    relative accuracy is lost to cancellation.
     """
+    if sigma is None:
+        sigma = SigmaMemo(medium, cid)
+    elif sigma.medium is not medium or sigma.cid != cid:
+        raise DomainError("sigma memo belongs to another medium or component")
     k_t = medium.wavenumbers[cid.t]
     k_s = medium.wavenumbers[cid.s]
     k_split = spec.resolve_split(medium)
-    p_arr = np.asarray(p_orders)[None, :, None]  # (1, P, 1)
-    m_arr = np.asarray(m_orders)[None, None, :]  # (1, 1, M)
-    order_boost = int(np.max(np.abs(p_orders))) + int(np.max(np.abs(m_orders)))
+    p_arr = np.asarray(p_orders)
+    m_arr = np.asarray(m_orders)
+    p_max = int(np.max(np.abs(p_arr)))
+    m_max = int(np.max(np.abs(m_arr)))
+    order_boost = p_max + m_max
     H = alpha + beta
 
-    def vec(lam, sign, dinfo=None):
-        """sigma * E * powers at (possibly complex) lam for one sign of X.
+    # columns of the power tables per term: sign -1 reads negated orders
+    columns = {
+        signs: (
+            p_max + np.multiply.outer(signs, p_arr),
+            m_max + np.multiply.outer(signs, m_arr),
+        )
+        for signs in ((1, -1), (1,), (-1,))
+    }
 
-        sign=+1 evaluates the native integrand; sign=-1 evaluates the
-        lam -> -lam reflection by evenness of sigma and h.
+    def factors(lam, signs, dinfo=None):
+        """(c, A, B) at (possibly complex) lam, one term per sign of X.
+
+        sign=+1 is the native integrand; sign=-1 is the lam -> -lam
+        reflection by evenness of sigma and h.
         """
         lam = np.asarray(lam)
         if not np.isrealobj(lam) and np.all(lam.imag == 0.0):
             lam = lam.real.copy()
         ht = branch_sqrt_arr(hsq(lam, k_t, dinfo))
-        hs = branch_sqrt_arr(hsq(lam, k_s, dinfo))
-        sig = sigma_component_batch(medium, lam, cid, dinfo=dinfo)
-        ws = w_from_h(lam, hs, k_s)
         wt = w_from_h(lam, ht, k_t)
-        base = sig * np.exp(-ht * alpha - hs * beta + 1j * lam * sign * X)
-        if sign > 0:
-            a = (-1j * ws)[:, None, None] ** p_arr
-            b = (1j / wt)[:, None, None] ** m_arr
+        if k_s == k_t:
+            hs, ws = ht, wt
         else:
-            a = (1j / ws)[:, None, None] ** p_arr
-            b = (-1j * wt)[:, None, None] ** m_arr
-        out = base[:, None, None] * a * b
-        return out.reshape(lam.shape[0], -1)
+            hs = branch_sqrt_arr(hsq(lam, k_s, dinfo))
+            ws = w_from_h(lam, hs, k_s)
+        sig = sigma(lam, dinfo)
+        phase = 1j * lam * X
+        c = sig * np.exp(
+            (-ht * alpha - hs * beta) + np.asarray(signs)[:, None] * phase
+        )
+        cols_p, cols_m = columns[signs]
+        A = _power_table(-1j * ws, 1j / ws, p_max)[:, cols_p]
+        B = _power_table(1j / wt, -1j * wt, m_max)[:, cols_m]
+        return c, A.transpose(1, 0, 2), B.transpose(1, 0, 2)
 
     def f_sym(lam, dinfo=None):
-        # in place: a third (nodes x orders^2) temporary per panel is enough
-        # to make the allocator return and re-fault those pages every panel
-        out = vec(lam, +1, dinfo)
-        out += vec(lam, -1, dinfo)
-        return out
+        return factors(lam, (1, -1), dinfo)
 
     branch = sorted(set(medium.wavenumbers))
     segs = _build_segments(
@@ -231,7 +270,7 @@ def _power_family(medium, cid, alpha, beta, X, p_orders, m_orders, spec):
             rho, spec.rtol, k_map, order=order_boost, k_order=min(k_t, k_s)
         )
         lam_max = max(lam_max, 1.5 * k_split, spec.lam_max or 0.0)
-        for sign in (1.0, -1.0):
+        for sign in (1, -1):
             theta = math.atan2(H, sign * X)
             b_ang = 0.5 * math.pi - theta
             phi_ks = complex(
@@ -241,14 +280,16 @@ def _power_family(medium, cid, alpha, beta, X, p_orders, m_orders, spec):
 
             def f_kappa(t, _s=sign, _p=phi_ks):
                 lam = k_split + t * (_p - k_split)
-                return vec(lam, _s) * (_p - k_split)
+                c, A, B = factors(lam, (_s,))
+                return c * (_p - k_split), A, B
 
             def f_hyper(lamp, _s=sign, _b=b_ang):
                 lamp = np.asarray(lamp, dtype=float)
                 root = np.sqrt(lamp * lamp - k_map * k_map)
                 lam = lamp * math.cos(_b) + 1j * root * math.sin(_b)
                 dphi = math.cos(_b) + 1j * lamp * math.sin(_b) / root
-                return vec(lam, _s) * dphi[:, None]
+                c, A, B = factors(lam, (_s,))
+                return c * dphi, A, B
 
             segs.append(Segment(f_kappa, 0.0, 1.0, "none", 2))
             segs += _build_segments(
@@ -353,8 +394,14 @@ def le_eval(le, x, c0=2.0):
     return complex(np.sum(le.coeffs * j * np.exp(1j * m * tau_t * th)))
 
 
-def m2l(medium, cid, x_c_l, x_c, M, P, spec=None, source_radius=None, c0=2.0):
-    """Translation matrix A_mp from a source center to a local center."""
+def m2l(
+    medium, cid, x_c_l, x_c, M, P, spec=None, source_radius=None, c0=2.0, sigma=None
+):
+    """Translation matrix A_mp from a source center to a local center.
+
+    sigma: an optional ``SigmaMemo`` of (medium, cid) shared with other
+    builds; it changes how often sigma is solved, never the matrix.
+    """
     spec = spec or ContourSpec()
     _check_pole_free(medium, spec)
     D = polarized_distance(medium, PolarizedPair(tuple(x_c_l), tuple(x_c), cid))
@@ -363,7 +410,9 @@ def m2l(medium, cid, x_c_l, x_c, M, P, spec=None, source_radius=None, c0=2.0):
             f"centers at polarized distance {D:.3g} violate D > c0*radius"
         )
     alpha, beta, X = component_geometry_centers(medium, cid, x_c_l, x_c)
-    A = _power_family(medium, cid, alpha, beta, X, _orders(P), _orders(M), spec)
+    A = _power_family(
+        medium, cid, alpha, beta, X, _orders(P), _orders(M), spec, sigma
+    )
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     return TranslationMatrix(
         cid, tuple(x_c), tuple(x_c_l), A, D, medium.wavenumbers[cid.t], d_t

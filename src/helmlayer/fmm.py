@@ -10,7 +10,11 @@ sits strictly on its correct side.
 
 The translation matrices depend only on the (quantized) image-frame
 offset between box centers, so each level needs a few dozen spectral
-quadratures regardless of N.  Near-field interactions go through a
+quadratures regardless of N.  The quadratures of one pass share a
+``SigmaMemo``: matrices that start from the same panels, or run on the
+same (H, X) contour, meet the same spectral node arrays and solve the
+interface system once per array and pass.  The memo is local to the
+pass and goes when it returns.  Near-field interactions go through a
 frozen composite rule that shares one interface solve per node across
 every pair, in separable form: per-node moments of each source leaf,
 applied to the points of each target box.  The same-layer free-space
@@ -53,7 +57,7 @@ from .medium import (
     polarization_preimage,
     relevant_interface,
 )
-from .quadrature import ContourSpec, FrozenComponentRule, _pole_cache
+from .quadrature import ContourSpec, FrozenComponentRule, SigmaMemo, _pole_cache
 from .expansions import choose_truncation, fs_me, m2l, me_coeffs, regular_orders
 from .special import bessel_j_orders, hankel1_orders
 
@@ -180,25 +184,28 @@ def interaction_lists(tgt_boxes, src_boxes, c0):
 
     Far pairs are those separated beyond the near radius whose parents
     were near (the standard one-level interaction set); near pairs are
-    exhaustively listed for the leaf level.
+    exhaustively listed for the leaf level.  Both kinds are children of
+    the (2 n_near + 1)^2 parent boxes around the target's parent (a near
+    box's parent lies within ceil(n_near / 2) of it), so only those
+    children are scanned.
     """
     n_near = near_radius(c0)
+    children = {}
+    for s in set(src_boxes):
+        children.setdefault((s[0] >> 1, s[1] >> 1), []).append(s)
     near = {}
     far = {}
-    src_keys = set(src_boxes)
+    span = range(-n_near, n_near + 1)
     for b in tgt_boxes:
         nb, fb = [], []
-        parent = (b[0] >> 1, b[1] >> 1)
-        for s in src_keys:
-            dx = abs(s[0] - b[0])
-            dy = abs(s[1] - b[1])
-            cheb = max(dx, dy)
-            if cheb <= n_near:
-                nb.append(s)
-            else:
-                sp = (s[0] >> 1, s[1] >> 1)
-                if max(abs(sp[0] - parent[0]), abs(sp[1] - parent[1])) <= n_near:
-                    fb.append(s)
+        px, py = b[0] >> 1, b[1] >> 1
+        for dx in span:
+            for dy in span:
+                for s in children.get((px + dx, py + dy), ()):
+                    if max(abs(s[0] - b[0]), abs(s[1] - b[1])) <= n_near:
+                        nb.append(s)
+                    else:
+                        fb.append(s)
         near[b] = sorted(nb)
         far[b] = sorted(fb)
     return near, far
@@ -257,12 +264,12 @@ def _point(x):
     return (float(x[0]), float(x[1]))
 
 
-def _m2l_matrix(operators, medium, cid, x_cl, x_c, P, spec):
+def _m2l_matrix(operators, medium, cid, x_cl, x_c, P, spec, sigma):
     x_cl, x_c = _point(x_cl), _point(x_c)
     return _operator(
         operators,
         ("m2l", cid, P, spec, x_cl, x_c),
-        lambda: m2l(medium, cid, x_cl, x_c, P, P, spec).matrix,
+        lambda: m2l(medium, cid, x_cl, x_c, P, P, spec, sigma=sigma).matrix,
     )
 
 
@@ -409,6 +416,8 @@ def _reaction_pass(
     # number of distinct keys per level O(1) either way).
     same_k = k_t == k_s
     m2l_cache = {}
+    # one sigma memo for every matrix of this pass, dropped on return
+    sigma = SigmaMemo(medium, cid)
     le_prev = {}
     for lv in range(2, level + 1):
         tgt_lv = tree.boxes(tgt_local, lv)
@@ -433,7 +442,7 @@ def _reaction_pass(
                         # reversed, so one quadrature serves both signs
                         x_c = (2 * x_cl[0] - x_c[0], x_c[1])
                     m2l_cache[key] = _m2l_matrix(
-                        operators, medium, cid, x_cl, x_c, P, spec
+                        operators, medium, cid, x_cl, x_c, P, spec, sigma
                     )
                 mat = m2l_cache[key]
                 if dix < 0:

@@ -130,15 +130,49 @@ class QuadResult:
     spans: list = None
 
 
+def _factored_sums(c, A, B, scale):
+    """GK15 and G7 sums of sum_r c[r, n] * outer(A[r, n], B[r, n]).
+
+    Each is one GEMM over the (term, node) rows, flattened row-major.
+    None when a weighted factor or a sum is non-finite.
+    """
+    sums = []
+    for nodes, w in ((slice(None), GK_WEIGHTS), (slice(1, None, 2), G7_WEIGHTS)):
+        a = A[:, nodes] * (c[:, nodes] * (scale[nodes] * w))[..., None]
+        b = B[:, nodes]
+        # checked on the Kronrod rows; the Gauss rows are a subset of them
+        if not sums and not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return None
+        total = a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+        sums.append(total.ravel())
+    if not all(np.isfinite(s).all() for s in sums):
+        return None
+    return sums
+
+
 def _panel(seg, ua, ub):
+    """GK15 value, GK15 - G7 error, nodes and weights of one panel.
+
+    seg.f returns either the integrand values (nodes first, any trailing
+    shape) or a factored integrand (c, A, B) with value
+    sum_r c[r, n] * outer(A[r, n], B[r, n]) at node n, whose Kronrod and
+    Gauss sums are then two small GEMMs and the (nodes x |A| |B|) array
+    never exists.
+    """
     mid = 0.5 * (ua + ub)
     half = 0.5 * (ub - ua)
     u = mid + half * GK_NODES
     lam, jac, dinfo = seg.map(u)
-    if dinfo is None:
-        fx = np.asarray(seg.f(lam), dtype=complex)
-    else:
-        fx = np.asarray(seg.f(lam, dinfo), dtype=complex)
+    fx = seg.f(lam) if dinfo is None else seg.f(lam, dinfo)
+    if isinstance(fx, tuple):
+        sums = _factored_sums(*fx, half * jac)
+        if sums is None:
+            raise ToleranceNotReachedError(
+                f"integrand is non-finite on panel [{lam[0]}, {lam[-1]}]"
+            )
+        ik, ig = sums
+        return ik, np.abs(ik - ig), lam, half * GK_WEIGHTS * jac
+    fx = np.asarray(fx, dtype=complex)
     if not np.all(np.isfinite(fx.view(float))):
         raise ToleranceNotReachedError(
             f"integrand is non-finite on panel [{lam[0]}, {lam[-1]}]"
@@ -800,6 +834,41 @@ def tail_integral_cdh(medium, cid, x, xp, spec=None):
 
 
 # ---------------------------------------------------------------------------
+# Shared sigma solves
+# ---------------------------------------------------------------------------
+
+
+class SigmaMemo:
+    """sigma of one component, solved once per distinct node array.
+
+    ``memo(lam, dinfo)`` returns ``sigma_component_batch(medium, lam, cid,
+    dinfo=dinfo)``.  It is keyed on the exact bytes of lam and, on
+    anchored panels, of the dinfo offset, so a repeat returns bitwise what
+    a new solve would.  The memo lives as long as its owner (a frozen-rule
+    build, an FMM reaction pass) and nothing keeps it beyond that.
+    """
+
+    def __init__(self, medium, cid):
+        self.medium = medium
+        self.cid = cid
+        self._values = {}
+
+    def __call__(self, lam, dinfo=None):
+        key = (lam.dtype.char, lam.tobytes())
+        if dinfo is not None:
+            key += (dinfo[0], dinfo[1].tobytes())
+        value = self._values.get(key)
+        if value is None:
+            # a copy: the solve returns a strided view of every component
+            value = sigma_component_batch(
+                self.medium, lam, self.cid, dinfo=dinfo
+            ).copy()
+            value.flags.writeable = False
+            self._values[key] = value
+        return value
+
+
+# ---------------------------------------------------------------------------
 # Frozen composite rule for batched kernel evaluation
 # ---------------------------------------------------------------------------
 
@@ -865,17 +934,7 @@ class FrozenComponentRule:
         # lists are identical by construction so edges merge per segment.
         # Every probe starts from the same panels and bisects them the same
         # way, so sigma is solved once per distinct panel and shared
-        sig_memo = {}
-
-        def sig(lam, dinfo):
-            key = lam.tobytes()
-            if dinfo is not None:
-                key = (key, dinfo[0], dinfo[1].tobytes())
-            if key not in sig_memo:
-                sig_memo[key] = sigma_component_batch(
-                    medium, lam, cid, dinfo=dinfo
-                )
-            return sig_memo[key]
+        sig = SigmaMemo(medium, cid)
 
         seg_edges = None
         segments = None

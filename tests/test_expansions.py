@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helmlayer import expansions, quadrature
 from helmlayer.errors import DomainError, FarFieldError
 from helmlayer.medium import (
     Dir,
@@ -15,13 +16,19 @@ from helmlayer.medium import (
 from helmlayer.quadrature import (
     ContourSpec,
     Segment,
+    SigmaMemo,
+    _build_segments,
     adaptive_segments,
+    component_abs_floor,
     evaluate_component,
     free_space_green,
+    tail_cutoff,
 )
 from helmlayer.sigma import sigma_component_batch
 from helmlayer.special import branch_sqrt_arr, hsq, w_from_h
 from helmlayer.expansions import (
+    _orders,
+    _power_family,
     choose_truncation,
     fit_rate,
     fs_l2l,
@@ -389,3 +396,176 @@ class TestFreeSpace:
         fsme = fs_me([(0.4, 0.0)], [1.0], (0.0, 0.0), 1.0, 8)
         with pytest.raises(FarFieldError):
             fs_me_eval(fsme, (0.6, 0.0))
+
+
+def dense_power_family(medium, cid, alpha, beta, X, p_orders, m_orders, spec):
+    """The (nodes x orders^2) integrand, summed panel by panel.
+
+    Reference for the factored ``_power_family``: same segments and
+    tolerances, sigma solved once per sign, powers from ``**``.  Returns
+    the matrix and the number of live panels.
+    """
+    k_t = medium.wavenumbers[cid.t]
+    k_s = medium.wavenumbers[cid.s]
+    k_split = spec.resolve_split(medium)
+    p_arr = np.asarray(p_orders)[None, :, None]
+    m_arr = np.asarray(m_orders)[None, None, :]
+    order_boost = int(np.max(np.abs(p_orders))) + int(np.max(np.abs(m_orders)))
+    H = alpha + beta
+
+    def vec(lam, sign, dinfo=None):
+        lam = np.asarray(lam)
+        if not np.isrealobj(lam) and np.all(lam.imag == 0.0):
+            lam = lam.real.copy()
+        ht = branch_sqrt_arr(hsq(lam, k_t, dinfo))
+        hs = branch_sqrt_arr(hsq(lam, k_s, dinfo))
+        sig = sigma_component_batch(medium, lam, cid, dinfo=dinfo)
+        ws = w_from_h(lam, hs, k_s)
+        wt = w_from_h(lam, ht, k_t)
+        base = sig * np.exp(-ht * alpha - hs * beta + 1j * lam * sign * X)
+        if sign > 0:
+            a = (-1j * ws)[:, None, None] ** p_arr
+            b = (1j / wt)[:, None, None] ** m_arr
+        else:
+            a = (1j / ws)[:, None, None] ** p_arr
+            b = (-1j * wt)[:, None, None] ** m_arr
+        return (base[:, None, None] * a * b).reshape(lam.shape[0], -1)
+
+    def f_sym(lam, dinfo=None):
+        return vec(lam, +1, dinfo) + vec(lam, -1, dinfo)
+
+    branch = sorted(set(medium.wavenumbers))
+    segs = _build_segments(f_sym, 0.0, k_split, branch, X, min_extra=order_boost // 8)
+    if X == 0.0:
+        lam_max = tail_cutoff(
+            H, spec.rtol, max(k_t, k_s), order=order_boost, k_order=min(k_t, k_s)
+        )
+        lam_max = max(lam_max, 1.5 * k_split, spec.lam_max or 0.0)
+        segs += _build_segments(f_sym, k_split, lam_max, [], 0.0)
+    else:
+        k_map = max(k_t, k_s)
+        rho = math.hypot(X, H)
+        lam_max = tail_cutoff(
+            rho, spec.rtol, k_map, order=order_boost, k_order=min(k_t, k_s)
+        )
+        lam_max = max(lam_max, 1.5 * k_split, spec.lam_max or 0.0)
+        for sign in (1.0, -1.0):
+            b_ang = 0.5 * math.pi - math.atan2(H, sign * X)
+            phi_ks = complex(
+                k_split * math.cos(b_ang),
+                math.sqrt(k_split**2 - k_map**2) * math.sin(b_ang),
+            )
+
+            def f_kappa(t, _s=sign, _p=phi_ks):
+                return vec(k_split + t * (_p - k_split), _s) * (_p - k_split)
+
+            def f_hyper(lamp, _s=sign, _b=b_ang):
+                lamp = np.asarray(lamp, dtype=float)
+                root = np.sqrt(lamp * lamp - k_map * k_map)
+                lam = lamp * math.cos(_b) + 1j * root * math.sin(_b)
+                dphi = math.cos(_b) + 1j * lamp * math.sin(_b) / root
+                return vec(lam, _s) * dphi[:, None]
+
+            segs.append(Segment(f_kappa, 0.0, 1.0, "none", 2))
+            segs += _build_segments(
+                f_hyper, k_split, lam_max, [], 0.0, min_extra=order_boost // 12
+            )
+    res = adaptive_segments(
+        segs,
+        spec.rtol,
+        atol=component_abs_floor(spec.rtol, H),
+        max_panels=spec.max_panels + 150 * (len(p_orders) + len(m_orders)),
+    )
+    return res.value.reshape(len(p_orders), len(m_orders)).T, res.n_panels
+
+
+def factored_power_family(monkeypatch, *args):
+    """``_power_family(*args)`` and the live panel count of its quadrature."""
+    results = []
+
+    def recording(*a, **kw):
+        results.append(adaptive_segments(*a, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(expansions, "adaptive_segments", recording)
+    out = _power_family(*args)
+    return out, results[-1].n_panels
+
+
+UNEQUAL = ReactionComponentId(0, 1, Dir.UP, Dir.DOWN)  # k_t = 1, k_s = 1.5
+M2L_SPEC = ContourSpec(rtol=1e-8)
+
+
+class TestFactoredPowerFamily:
+    @pytest.mark.parametrize("cid", [UPUP, UNEQUAL], ids=["equal_k", "unequal_k"])
+    @pytest.mark.parametrize("X", [0.0, 0.9, -1.7])
+    def test_matches_dense_integrand_at_p17(self, monkeypatch, cid, X):
+        orders = _orders(17)
+        args = (TWO_LAYER, cid, 0.4, 0.7, X, orders, orders, M2L_SPEC)
+        got, n_got = factored_power_family(monkeypatch, *args)
+        ref, n_ref = dense_power_family(*args)
+        assert got.shape == ref.shape == (33, 33)
+        assert n_got == n_ref
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("X", [0.0, 0.6])
+    @pytest.mark.parametrize("axis", ["p", "m"])
+    def test_one_order_axis_of_length_one(self, monkeypatch, X, axis):
+        # the shapes of me_expansion_functions (m = [0]) and
+        # le_coeffs_direct (p = [0])
+        p, m = (_orders(9), [0]) if axis == "p" else ([0], _orders(9))
+        args = (TWO_LAYER, UNEQUAL, 0.3, 0.5, X, p, m, SPEC)
+        got, n_got = factored_power_family(monkeypatch, *args)
+        ref, n_ref = dense_power_family(*args)
+        assert got.shape == ref.shape == (len(m), len(p))
+        assert n_got == n_ref
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_both_signs_share_one_sigma_solve(self, monkeypatch):
+        # at X = 0 every panel is symmetrized: one solve per panel, where
+        # solving each sign separately would take two
+        solves = []
+        panels = []
+        solve = quadrature.sigma_component_batch
+        panel = quadrature._panel
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        def counting_panel(*args):
+            panels.append(1)
+            return panel(*args)
+
+        monkeypatch.setattr(quadrature, "sigma_component_batch", counting_solve)
+        monkeypatch.setattr(quadrature, "_panel", counting_panel)
+        _power_family(TWO_LAYER, UPUP, 0.4, 0.7, 0.0, _orders(9), _orders(9), SPEC)
+        assert len(panels) > 0
+        assert len(solves) == len(panels)
+
+    def test_shared_memo_changes_no_matrix(self, monkeypatch):
+        # a second matrix on the same contour solves nothing new and is
+        # bitwise what a fresh memo gives
+        orders = _orders(9)
+        args = (TWO_LAYER, UNEQUAL, 0.4, 0.7, 0.9, orders, orders, M2L_SPEC)
+        memo = SigmaMemo(TWO_LAYER, UNEQUAL)
+        first = _power_family(*args, memo)
+        solves = []
+        solve = quadrature.sigma_component_batch
+
+        def counting(*a, **kw):
+            solves.append(1)
+            return solve(*a, **kw)
+
+        monkeypatch.setattr(quadrature, "sigma_component_batch", counting)
+        again = _power_family(*args, memo)
+        assert solves == []
+        assert np.array_equal(again, first)
+        assert np.array_equal(_power_family(*args), first)
+
+    def test_memo_of_another_component_rejected(self):
+        with pytest.raises(DomainError):
+            _power_family(
+                TWO_LAYER, UPUP, 0.4, 0.7, 0.0, [0], [0], SPEC,
+                SigmaMemo(TWO_LAYER, UNEQUAL),
+            )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helmlayer
-from helmlayer import fmm
+from helmlayer import fmm, quadrature
 from helmlayer.errors import DomainError, ValidationError
 from helmlayer.medium import (
     Dir,
@@ -139,6 +139,40 @@ class TestInteractionLists:
                 for s in far[b]:
                     count[np.ix_(tgt_lv[b], src_lv[s] - n)] += 1
         assert np.all(count == 1)
+
+    @pytest.mark.parametrize("c0", [1.0, 2.0, 4.0])
+    def test_match_the_all_pairs_scan(self, c0):
+        # the neighbourhood scan must list exactly what scanning every
+        # source box lists, at every level of a real tree
+        n_near = near_radius(c0)
+
+        def all_pairs(tgt_boxes, src_boxes):
+            near, far = {}, {}
+            for b in tgt_boxes:
+                pb = (b[0] >> 1, b[1] >> 1)
+                near[b] = sorted(
+                    s for s in src_boxes
+                    if max(abs(s[0] - b[0]), abs(s[1] - b[1])) <= n_near
+                )
+                far[b] = sorted(
+                    s for s in src_boxes
+                    if max(abs(s[0] - b[0]), abs(s[1] - b[1])) > n_near
+                    and max(abs((s[0] >> 1) - pb[0]), abs((s[1] >> 1) - pb[1]))
+                    <= n_near
+                )
+            return near, far
+
+        cid = ReactionComponentId(0, 0, Dir.UP, Dir.UP)
+        rng = np.random.default_rng(64)
+        n = 400
+        tgt = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(0.1, 1.8, n)])
+        src = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(0.1, 1.8, n)])
+        img = polarization_image_batch(TWO_LAYER, cid, src)
+        tree = QuadTree(np.vstack([tgt, img]), 5, align_y=0.0)
+        for lv in range(2, 6):
+            tgt_lv = tree.boxes(np.arange(n), lv).keys()
+            src_lv = tree.boxes(np.arange(n, 2 * n), lv).keys()
+            assert interaction_lists(tgt_lv, src_lv, c0) == all_pairs(tgt_lv, src_lv)
 
     def test_far_separation_implies_polarized_distance(self):
         # box-level separation guarantees D > c0 * source box radius
@@ -374,6 +408,40 @@ src, tgt = random_two_layer_cloud(m, 150, np.random.default_rng(70))
 sys.stdout.write(evaluate_all(m, src, tgt, FmmConfig(eps=1e-6)).tobytes().hex())
 """
 
+
+class TestWorkCounters:
+    def test_one_sigma_solve_per_node_array_per_pass(self, monkeypatch):
+        # a pass's M2L matrices share one sigma memo, and the symmetrized
+        # panels solve sigma once for both signs
+        solves = []
+        panels = []
+        solve = quadrature.sigma_component_batch
+        panel = quadrature._panel
+
+        def counting_solve(medium, lams, cid, **kwargs):
+            lams = np.asarray(lams)
+            dinfo = kwargs.get("dinfo")
+            key = (cid, lams.dtype.char, lams.tobytes())
+            if dinfo is not None:
+                key += (dinfo[0], dinfo[1].tobytes())
+            solves.append(key)
+            return solve(medium, lams, cid, **kwargs)
+
+        def counting_panel(*args):
+            panels.append(1)
+            return panel(*args)
+
+        monkeypatch.setattr(quadrature, "sigma_component_batch", counting_solve)
+        monkeypatch.setattr(quadrature, "_panel", counting_panel)
+        rng = np.random.default_rng(8)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
+        evaluate_all(TWO_LAYER, src, tgt, FmmConfig(eps=1e-6, leaf_size=10))
+        # every component has one pass per call, so a repeated key would
+        # be a pass solving the same node array twice
+        assert len(set(solves)) == len(solves)
+        # at most one solve per panel, plus each frozen rule's final solve
+        # over all its nodes (one rule per pass, four passes)
+        assert len(solves) <= len(panels) + 4
 
 class TestReproducibility:
     def test_bitwise_equal_across_processes_at_one_blas_thread(self):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from helmlayer import quadrature
-from helmlayer.errors import CoincidentPointsError, DomainError
+from helmlayer.errors import (
+    CoincidentPointsError,
+    DomainError,
+    ToleranceNotReachedError,
+)
 from helmlayer.medium import (
     Dir,
     ReactionComponentId,
@@ -14,6 +18,8 @@ from helmlayer.medium import (
 from helmlayer.quadrature import (
     CdHMap,
     ContourSpec,
+    Segment,
+    adaptive_segments,
     cdh_phi,
     cdh_phi_inv,
     evaluate_component,
@@ -382,3 +388,54 @@ class TestFrozenRule:
         )
         assert len(seen) == len(set(seen))
         assert rule.n_nodes == 435
+
+
+def _factored(lam, dinfo=None):
+    """Two terms of c * outer(A, B) with smooth, order-dependent rows."""
+    lam = np.asarray(lam, dtype=float)
+    p = np.arange(-3, 4)
+    m = np.arange(-2, 3)
+    c = np.array([np.exp(-lam) * np.cos(3 * lam), np.exp(-2 * lam) + 0j])
+    A = np.array([np.exp(1j * np.outer(lam, p)), np.outer(1 + lam, p) + 0j])
+    B = np.array([np.outer(np.cos(lam), m) + 1j, np.exp(-np.outer(lam, m**2)) + 0j])
+    return c, A, B
+
+
+class TestFactoredIntegrand:
+    def test_matches_dense_integrand(self):
+        def dense(lam, dinfo=None):
+            c, A, B = _factored(lam, dinfo)
+            f = np.einsum("rn,rnp,rnm->npm", c, A, B)
+            return f.reshape(f.shape[0], -1)
+
+        segs = [Segment(None, 0.0, 1.0, "left", 2), Segment(None, 1.0, 6.0, "none", 3)]
+        results = []
+        for f in (_factored, dense):
+            for seg in segs:
+                seg.f = f
+            results.append(adaptive_segments(segs, 1e-12, collect_rule=True))
+        got, ref = results
+        assert got.value.shape == ref.value.shape == (35,)
+        assert got.n_panels == ref.n_panels
+        assert np.array_equal(got.nodes, ref.nodes)
+        scale = np.max(np.abs(ref.value))
+        assert np.max(np.abs(got.value - ref.value)) <= 1e-14 * scale
+
+    def test_non_finite_factor_raises(self):
+        def bad(lam, dinfo=None):
+            c, A, B = _factored(lam)
+            B[1, 4, 2] = np.nan
+            return c, A, B
+
+        with pytest.raises(ToleranceNotReachedError):
+            adaptive_segments([Segment(bad, 0.0, 1.0)], 1e-10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_product_raises(self):
+        # every factor finite, their products not
+        def big(lam, dinfo=None):
+            c, A, B = _factored(lam)
+            return c * 1e300, A * 1e10, B
+
+        with pytest.raises(ToleranceNotReachedError):
+            adaptive_segments([Segment(big, 0.0, 1.0)], 1e-10)

@@ -6,8 +6,9 @@ CSV tables plus a result.json stamped with the schema version.  Exit
 codes: 0 success, 2 config parse error, 3 validation error, 4 numerical
 failure (including threshold violations in self-check jobs).
 
-Given the same config, seed and BLAS thread count the primary output
-files are byte-identical run to run; wall-clock timings (inherently
+Given the same config, seed and BLAS thread count (set through
+OPENBLAS_NUM_THREADS before the run) the primary output files are
+byte-identical run to run; wall-clock timings (inherently
 non-deterministic) go to a separate timings.json sidecar.
 """
 
@@ -440,14 +441,6 @@ def build_parser():
     )
     ap.add_argument("--config", required=True, help="job configuration file")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker hint, recorded only (heavy array work runs in the BLAS "
-        "thread pool; results are bitwise reproducible for a fixed BLAS "
-        "thread count, set through OPENBLAS_NUM_THREADS)",
-    )
     ap.add_argument("--tolerance", type=float, default=None, help="rtol override")
     ap.add_argument("--seed", type=int, default=0, help="random seed (u64)")
     return ap
@@ -486,7 +479,6 @@ def main(argv=None):
     params = {
         "config": str(args.config),
         "seed": int(args.seed),
-        "workers": int(args.workers),
         "rtol": spec.rtol,
     }
     try:

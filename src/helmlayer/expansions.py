@@ -10,7 +10,7 @@ series, and the four operators come out as
     LE coefficients   L_m = int E(x_c^l, x') sigma (i / w_t)^m dlam
     LE basis          K_m = J_m(k_t rho^l) e^{i m tau_t theta^l}
     M2L               A_mp = int E(x_c^l, x_c) sigma (-i w_s)^p (i/w_t)^m dlam
-    L2L / M2M         convolutions with J_n(k rho) e^{i n tau theta} kernels
+    L2L / M2M         Toeplitz products with J_n(k rho) e^{i n tau theta} kernels
 
 The convergence rate of every truncation is (geometry ratio)^P where the
 denominator is the polarized distance between the evaluation object and
@@ -68,6 +68,17 @@ def regular_orders(v, k, nmax, tau=1.0):
     j = bessel_j_orders(np.array([k * rho]), nmax)[:, 0]
     n = np.arange(-nmax, nmax + 1)
     return j * np.exp(1j * n * tau * th)
+
+
+def _toeplitz(kern, M, P, sign):
+    """T[i, j] = kern[c + sign * (m_i - p_j)] with c = len(kern) // 2.
+
+    Rows are the output orders m = -(M-1)..M-1, columns the input orders
+    p = -(P-1)..P-1, and kern holds orders -c..c with c >= M + P - 2.
+    T @ coeffs is the order convolution of an M2M (sign +1), and of an
+    L2L or free-space M2L (sign -1).
+    """
+    return kern[len(kern) // 2 + sign * np.subtract.outer(_orders(M), _orders(P))]
 
 
 @dataclass(frozen=True)
@@ -152,17 +163,19 @@ def me_coeffs(medium, cid, x_c, sources, strengths, P):
     if np.any(tau_s * (sources[:, 1] - d_s) <= 0):
         raise DomainError("every source must lie on its propagating side")
     k_s = medium.wavenumbers[cid.s]
-    dx = sources[:, 0] - x_c[0]
-    dy = sources[:, 1] - x_c[1]
+    coeffs, radius = _regular_sums(sources, strengths, x_c, k_s, P, tau_s)
+    return MultipoleExpansion(cid, tuple(x_c), k_s, d_s, coeffs, radius)
+
+
+def _regular_sums(sources, strengths, center, k, P, tau):
+    """sum_j q_j J_p(k rho_j) e^{i p tau theta_j}, |p| < P, and max rho_j."""
+    dx = sources[:, 0] - center[0]
+    dy = sources[:, 1] - center[1]
     rho = np.hypot(dx, dy)
     th = np.arctan2(dy, dx)
-    j = bessel_j_orders(k_s * rho, P - 1)  # (2P-1, n)
-    p = _orders(P)
-    phases = np.exp(1j * np.outer(p, tau_s * th))
-    coeffs = (j * phases) @ strengths
-    return MultipoleExpansion(
-        cid, tuple(x_c), k_s, d_s, coeffs, float(np.max(rho)) if len(rho) else 0.0
-    )
+    j = bessel_j_orders(k * rho, P - 1)  # (2P-1, n)
+    phases = np.exp(1j * np.outer(_orders(P), tau * th))
+    return (j * phases) @ strengths, float(np.max(rho)) if len(rho) else 0.0
 
 
 def _power_table(z, z_inv, nmax):
@@ -443,19 +456,9 @@ def l2l(le, new_center, P):
     M = le.M
     nmax = max(P + M - 2, 0)
     kern = regular_orders(shift, le.k_target, nmax, tau=le.cid.dir_t.tau)
-    m_out = _orders(M)
-    p_in = _orders(P)
-    coeffs = np.zeros(2 * M - 1, dtype=complex)
-    # source coefficients truncated to |p| < P
-    src = np.zeros(2 * P - 1, dtype=complex)
-    for i, p in enumerate(p_in):
-        if abs(p) < M:
-            src[i] = le.coeffs[p + M - 1]
-    for i, m in enumerate(m_out):
-        acc = 0.0 + 0.0j
-        for jdx, p in enumerate(p_in):
-            acc += src[jdx] * kern[(p - m) + nmax]
-        coeffs[i] = acc
+    # the sum runs over |p| < P and the input holds |p| < M
+    n = min(M, P)
+    coeffs = _toeplitz(kern, M, n, -1) @ le.coeffs[M - n : M + n - 1]
     return LocalExpansion(
         le.cid, tuple(new_center), le.k_target, le.d_target, coeffs, le.reach - snorm
     )
@@ -470,13 +473,7 @@ def m2m(me, new_center):
     snorm = math.hypot(*shift)
     P = me.P
     kern = regular_orders(shift, me.k_source, 2 * P - 2, tau=tau_s)
-    p = _orders(P)
-    coeffs = np.zeros(2 * P - 1, dtype=complex)
-    for i, pi in enumerate(p):
-        acc = 0.0 + 0.0j
-        for jdx, q in enumerate(p):
-            acc += me.coeffs[jdx] * kern[(pi - q) + 2 * P - 2]
-        coeffs[i] = acc
+    coeffs = _toeplitz(kern, P, P, 1) @ me.coeffs
     return MultipoleExpansion(
         me.cid, tuple(new_center), me.k_source, me.d_source, coeffs, me.radius + snorm
     )
@@ -508,15 +505,8 @@ def fs_me(sources, strengths, center, k, P):
     """Free-space ME: alpha_p = sum_j q_j J_p(k rho_j) e^{-i p theta_j}."""
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     strengths = np.atleast_1d(np.asarray(strengths, dtype=complex))
-    dx = sources[:, 0] - center[0]
-    dy = sources[:, 1] - center[1]
-    rho = np.hypot(dx, dy)
-    th = np.arctan2(dy, dx)
-    j = bessel_j_orders(k * rho, P - 1)
-    p = _orders(P)
-    phases = np.exp(-1j * np.outer(p, th))
-    coeffs = (j * phases) @ strengths
-    return FreeSpaceME(tuple(center), k, coeffs, float(np.max(rho)) if len(rho) else 0.0)
+    coeffs, radius = _regular_sums(sources, strengths, center, k, P, -1.0)
+    return FreeSpaceME(tuple(center), k, coeffs, radius)
 
 
 def fs_me_eval(fsme, x, c0=2.0):
@@ -537,13 +527,7 @@ def fs_m2m(fsme, new_center):
     snorm = math.hypot(*shift)
     P = fsme.P
     kern = np.conj(regular_orders(shift, fsme.k, 2 * P - 2))
-    p = _orders(P)
-    coeffs = np.zeros(2 * P - 1, dtype=complex)
-    for i, pi in enumerate(p):
-        acc = 0.0 + 0.0j
-        for jdx, q in enumerate(p):
-            acc += fsme.coeffs[jdx] * kern[(pi - q) + 2 * P - 2]
-        coeffs[i] = acc
+    coeffs = _toeplitz(kern, P, P, 1) @ fsme.coeffs
     return FreeSpaceME(tuple(new_center), fsme.k, coeffs, fsme.radius + snorm)
 
 
@@ -555,19 +539,10 @@ def fs_m2l(fsme, local_center, M, c0=2.0):
         raise FarFieldError("centers are not well separated")
     P = fsme.P
     nmax = P + M - 2
-    rho = bnorm
     th = math.atan2(b[1], b[0])
-    h = hankel1_orders(np.array([fsme.k * rho]), nmax)[:, 0]
-    n = np.arange(-nmax, nmax + 1)
-    o = h * np.exp(1j * n * th)
-    q_out = _orders(M)
-    p_in = _orders(P)
-    coeffs = np.zeros(2 * M - 1, dtype=complex)
-    for i, q in enumerate(q_out):
-        acc = 0.0 + 0.0j
-        for jdx, p in enumerate(p_in):
-            acc += fsme.coeffs[jdx] * o[(p - q) + nmax]
-        coeffs[i] = 0.25j * acc
+    h = hankel1_orders(np.array([fsme.k * bnorm]), nmax)[:, 0]
+    o = h * np.exp(1j * np.arange(-nmax, nmax + 1) * th)
+    coeffs = 0.25j * (_toeplitz(o, M, P, -1) @ fsme.coeffs)
     return FreeSpaceLE(tuple(local_center), fsme.k, coeffs, bnorm - fsme.radius)
 
 
@@ -577,13 +552,7 @@ def fs_l2l(fsle, new_center):
     snorm = math.hypot(*shift)
     M = (len(fsle.coeffs) + 1) // 2
     kern = regular_orders(shift, fsle.k, 2 * M - 2)
-    q_ord = _orders(M)
-    coeffs = np.zeros(2 * M - 1, dtype=complex)
-    for i, n in enumerate(q_ord):
-        acc = 0.0 + 0.0j
-        for jdx, q in enumerate(q_ord):
-            acc += fsle.coeffs[jdx] * kern[(q - n) + 2 * M - 2]
-        coeffs[i] = acc
+    coeffs = _toeplitz(kern, M, M, -1) @ fsle.coeffs
     return FreeSpaceLE(tuple(new_center), fsle.k, coeffs, fsle.reach - snorm)
 
 

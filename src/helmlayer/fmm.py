@@ -1,12 +1,21 @@
 """Quadtree FMM for many-source fields in layered media.
 
+Every pass runs one skeleton: a tree over its targets plus its source
+points, a near field summed directly, and a far field made of leaf
+multipole expansions, an upward M2M pass, M2L between far boxes, a
+downward L2L pass and leaf local expansions evaluated at the targets.
+Two sets of operators plug into that skeleton; only the near fields are
+written per pass.
+
 Each reaction component gets its own pass: the sources are replaced by
 their polarization images, which live on the far side of the target
 layer's relevant interface, and in that image frame every far-field
 condition of the expansions becomes plain Euclidean box separation.  The
 tree is built over targets plus images with the interface snapped onto
 the box grid, so no box ever straddles it and every multipole center
-sits strictly on its correct side.
+sits strictly on its correct side.  Its operators are the polarized ME
+about the preimage of a box center, the spectral M2L matrices and the
+generating-function shifts.
 
 The translation matrices depend only on the (quantized) image-frame
 offset between box centers, so each level needs a few dozen spectral
@@ -18,9 +27,10 @@ pass and goes when it returns.  Near-field interactions go through a
 frozen composite rule that shares one interface solve per node across
 every pair, in separable form: per-node moments of each source leaf,
 applied to the points of each target box.  The same-layer free-space
-part runs as a standard Graf FMM pass with direct Hankel sums in the
-near field; a target that coincides with a source gets no free-space
-term from it (the reaction terms stay finite there and are kept).
+part is a second pass with Graf's addition theorem as its operators
+and direct Hankel sums in its near field; a target that coincides with
+a source gets no free-space term from it (the reaction terms stay
+finite there and are kept).
 
 None of the operators depends on the source strengths.  ``evaluate_all``
 builds the operators of its call and drops them when it returns, so
@@ -58,7 +68,14 @@ from .medium import (
     relevant_interface,
 )
 from .quadrature import ContourSpec, FrozenComponentRule, SigmaMemo, _pole_cache
-from .expansions import choose_truncation, fs_me, m2l, me_coeffs, regular_orders
+from .expansions import (
+    _toeplitz,
+    choose_truncation,
+    fs_me,
+    m2l,
+    me_coeffs,
+    regular_orders,
+)
 from .special import bessel_j_orders, hankel1_orders
 
 
@@ -93,17 +110,6 @@ class SourceSet:
             raise ValidationError("sources need matching (n, 2) and (n,) arrays")
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
-class PolarizedSourceSet:
-    """Images of the sources for one reaction component."""
-
-    cid: object
-    images: np.ndarray
-    strengths: np.ndarray
-    originals: np.ndarray
-    source_index: np.ndarray
 
 
 class QuadTree:
@@ -144,10 +150,6 @@ class QuadTree:
 
     def cell_at(self, level):
         return self.side / 2**level
-
-    def box_of(self, i, level):
-        shift = self.level - level
-        return (self.leaf_index[i, 0] >> shift, self.leaf_index[i, 1] >> shift)
 
     def boxes(self, idx, level):
         """dict box -> sorted point indices (subset idx) at a level."""
@@ -218,19 +220,6 @@ def _layers_of_batch(medium, ys):
     return np.sum(ys[:, None] < depths[None, :], axis=1)
 
 
-def _pass_order(medium, cid, rho_geom, eps, c0=2.0):
-    """Shared truncation order for one component pass.
-
-    Box translations have O(1) measured prefactors, so the safety
-    constant is far below the generic default.
-    """
-    k_s = medium.wavenumbers[cid.s]
-    ratio = math.sqrt(0.5) / (near_radius(c0) + 1 - math.sqrt(0.5))
-    return choose_truncation(
-        min(ratio, 0.45), eps, k_s, rho_geom, C_safe=30.0, P_min=8
-    )
-
-
 # ---------------------------------------------------------------------------
 # operators of a call or a plan
 # ---------------------------------------------------------------------------
@@ -264,15 +253,6 @@ def _point(x):
     return (float(x[0]), float(x[1]))
 
 
-def _m2l_matrix(operators, medium, cid, x_cl, x_c, P, spec, sigma):
-    x_cl, x_c = _point(x_cl), _point(x_c)
-    return _operator(
-        operators,
-        ("m2l", cid, P, spec, x_cl, x_c),
-        lambda: m2l(medium, cid, x_cl, x_c, P, P, spec, sigma=sigma).matrix,
-    )
-
-
 def _child_kernels(operators, cell, k, P, tau=1.0, flip=1.0):
     """Shift kernels J_n(k rho) e^{i n tau theta}, |n| <= 2(P-1), by child.
 
@@ -293,14 +273,117 @@ def _child_kernels(operators, cell, k, P, tau=1.0, flip=1.0):
     return out
 
 
-def _toeplitz(kern, P, sign):
-    """T[i, j] = kern[sign * (p_i - p_j)] over the orders p = -(P-1)..P-1.
+# ---------------------------------------------------------------------------
+# pass skeleton
+# ---------------------------------------------------------------------------
 
-    kern holds orders -2(P-1)..2(P-1).  T @ c is the order convolution
-    of an M2M (sign +1), and of an L2L or free-space M2L (sign -1).
+
+def _tree(tgt_xy, src_xy, config, align_y=None):
+    """Tree over targets plus source points, its leaf boxes and near lists.
+
+    Returns (tree, leaf_t, leaf_s, near): leaf_t maps a leaf box to the
+    indices of its targets, leaf_s to the indices of its source points
+    (both into their own arrays), near a target leaf to its near leaves.
     """
-    p = np.arange(-(P - 1), P)
-    return kern[sign * (p[:, None] - p[None, :]) + 2 * (P - 1)]
+    n_tgt = tgt_xy.shape[0]
+    cloud = np.vstack([tgt_xy, src_xy])
+    level = max(
+        2, min(config.max_level, math.ceil(math.log(max(cloud.shape[0], 4) / config.leaf_size, 4)))
+    )
+    tree = QuadTree(cloud, level, align_y=align_y)
+    leaf_t = tree.boxes(np.arange(n_tgt), level)
+    leaf_s = {
+        b: idx - n_tgt
+        for b, idx in tree.boxes(np.arange(n_tgt, cloud.shape[0]), level).items()
+    }
+    near, _ = interaction_lists(leaf_t.keys(), leaf_s.keys(), config.c0)
+    return tree, leaf_t, leaf_s, near
+
+
+def _pass_order(k, tree, config):
+    """Shared truncation order of a pass whose expansions have wavenumber k.
+
+    Box translations have O(1) measured prefactors, so the safety
+    constant is far below the generic default.
+    """
+    n_near = near_radius(config.c0)
+    ratio = math.sqrt(0.5) / (n_near + 1 - math.sqrt(0.5))
+    rho_geom = 0.35 * tree.cell_at(2) * (n_near + 2)
+    P = choose_truncation(
+        min(ratio, 0.45), config.eps * 0.1, k, rho_geom, C_safe=30.0, P_min=8
+    )
+    if P > config.max_order:
+        raise DomainError(
+            f"target tolerance needs order {P} > configured maximum "
+            f"{config.max_order}"
+        )
+    return P
+
+
+def _far_field(
+    tree, leaf_s, P, config, leaf_me, m2m_kernels, far_m2l, l2l_kernels, le_wave,
+    tgt_xy, out, tgt_idx,
+):
+    """Upward pass, M2L and downward pass of one pass; leaf LEs into out.
+
+    The pass supplies its operators: leaf_me(box, j) gives the ME of its
+    source points j about a leaf box; m2m_kernels(cell) and
+    l2l_kernels(cell) give the shift kernels by child, cell being the
+    child level's box side; far_m2l(lv, b, s) gives the M2L matrix from
+    source box s to target box b at level lv; le_wave = (k, tau) is the
+    wavenumber and orientation of the LE basis.
+    """
+    level = tree.level
+    me_by_level = {level: {b: leaf_me(b, j) for b, j in leaf_s.items()}}
+    for lv in range(level - 1, 1, -1):
+        kerns = m2m_kernels(tree.cell_at(lv + 1))
+        up = {c: _toeplitz(kern, P, P, 1) for c, kern in kerns.items()}
+        me_by_level[lv] = {}
+        for b, coeffs in sorted(me_by_level[lv + 1].items()):
+            parent = (b[0] >> 1, b[1] >> 1)
+            acc = me_by_level[lv].setdefault(
+                parent, np.zeros(2 * P - 1, dtype=complex)
+            )
+            acc += up[b[0] & 1, b[1] & 1] @ coeffs
+
+    tgt_local = np.arange(tgt_xy.shape[0])
+    le_prev = {}
+    for lv in range(2, level + 1):
+        tgt_lv = tree.boxes(tgt_local, lv)
+        _, far = interaction_lists(tgt_lv.keys(), me_by_level[lv].keys(), config.c0)
+        le_now = {}
+        for b in tgt_lv:
+            coeffs = np.zeros(2 * P - 1, dtype=complex)
+            if b in le_prev:
+                coeffs += le_prev[b]
+            for s in far[b]:
+                coeffs += far_m2l(lv, b, s) @ me_by_level[lv][s]
+            le_now[b] = coeffs
+        if lv < level:
+            kerns = l2l_kernels(tree.cell_at(lv + 1))
+            down = {c: _toeplitz(kern, P, P, -1) for c, kern in kerns.items()}
+            le_prev = {}
+            for b, coeffs in le_now.items():
+                for (cx, cy), shift in down.items():
+                    le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
+
+    k, tau = le_wave
+    for b, idx in tgt_lv.items():
+        if np.any(np.abs(le_now[b])):
+            _eval_local_at(
+                out, tgt_idx[idx], le_now[b], tree.center(b, level), tgt_xy[idx], k, tau, P
+            )
+
+
+def _eval_local_at(out, global_idx, coeffs, center, pts, k, tau, P):
+    dx = pts[:, 0] - center[0]
+    dy = pts[:, 1] - center[1]
+    rho = np.hypot(dx, dy)
+    th = np.arctan2(dy, dx)
+    j = bessel_j_orders(k * rho, P - 1)  # (2P-1, n)
+    orders = np.arange(-(P - 1), P)
+    phases = np.exp(1j * np.outer(orders, tau * th))
+    out[global_idx] += (coeffs[:, None] * j * phases).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +404,12 @@ def _reaction_pass(
 
     alphas = tau_t * (tgt_xy[:, 1] - d_t)
     betas = tau_s * (src_xy[:, 1] - d_s)
-
-    n_tgt = tgt_xy.shape[0]
-    n_src = src_xy.shape[0]
-    cloud = np.vstack([tgt_xy, images])
-    level = max(
-        2, min(config.max_level, math.ceil(math.log(max(cloud.shape[0], 4) / config.leaf_size, 4)))
-    )
-    tree = QuadTree(cloud, level, align_y=d_t)
+    tree, leaf_t, leaf_s, near = _tree(tgt_xy, images, config, align_y=d_t)
 
     # frozen near-field rule shared by every pair of this component;
     # near pairs live within the leaf neighborhood, so the oscillation
     # range the rule must resolve is a few leaf cells, not the domain
-    x_near = float((near_radius(config.c0) + 1.5) * tree.cell_at(level))
+    x_near = float((near_radius(config.c0) + 1.5) * tree.cell)
     a_range = (float(alphas.min()), float(alphas.max()))
     b_range = (float(betas.min()), float(betas.max()))
     rtol = config.eps * 5e-2
@@ -342,15 +418,6 @@ def _reaction_pass(
         ("rule", cid, a_range, b_range, x_near, rtol),
         lambda: FrozenComponentRule(medium, cid, a_range, b_range, x_near, rtol=rtol),
     )
-
-    tgt_local = np.arange(n_tgt)
-    img_local = np.arange(n_tgt, n_tgt + n_src)
-    leaf_t = tree.boxes(tgt_local, level)
-    leaf_s = tree.boxes(img_local, level)
-    if not leaf_s:
-        return
-
-    near, far_leaf = interaction_lists(leaf_t.keys(), leaf_s.keys(), config.c0)
 
     # near field, separable in x: each source leaf is folded once into
     # per-node moments (C, S), a target box sums the moments of its near
@@ -364,7 +431,7 @@ def _reaction_pass(
             continue
         for s in src_boxes:
             if s not in moments:
-                j = leaf_s[s] - n_tgt
+                j = leaf_s[s]
                 moments[s] = rule.source_moments(
                     betas[j], src_xy[j, 0] - x_ref, src_q[j]
                 )
@@ -375,112 +442,55 @@ def _reaction_pass(
             alphas[tl], tgt_xy[tl, 0] - x_ref, C, S
         )
 
-    if level < 2:
-        return
-
-    eps_pass = config.eps * 0.1
-    scale_rho = 0.35 * tree.cell_at(2) * (near_radius(config.c0) + 2)
-    P = _pass_order(medium, cid, scale_rho, eps_pass, config.c0)
-    if P > config.max_order:
-        raise DomainError(
-            f"target tolerance needs order {P} > configured maximum "
-            f"{config.max_order}"
-        )
+    P = _pass_order(k_s, tree, config)
     spec = ContourSpec(rtol=max(config.eps * 1e-2, 2e-11))
 
-    # upward: leaf multipole coefficients about preimages of box centers
-    me_by_level = {level: {}}
-    for b, idx in leaf_s.items():
-        x_c = polarization_preimage(medium, cid, tree.center(b, level))
-        me = me_coeffs(medium, cid, x_c, src_xy[idx - n_tgt], src_q[idx - n_tgt], P)
-        me_by_level[level][b] = me.coeffs
+    def leaf_me(b, j):
+        # multipole coefficients about the preimage of the box center
+        x_c = polarization_preimage(medium, cid, tree.center(b, tree.level))
+        return me_coeffs(medium, cid, x_c, src_xy[j], src_q[j], P).coeffs
 
-    for lv in range(level - 1, 1, -1):
-        # the preimage map reverses y, so the y offset flips sign
-        kerns = _child_kernels(
-            operators, tree.cell_at(lv + 1), k_s, P, tau_s, -tau_s * tau_t
-        )
-        up = {c: _toeplitz(kern, P, 1) for c, kern in kerns.items()}
-        me_by_level[lv] = {}
-        for b, coeffs in sorted(me_by_level[lv + 1].items()):
-            parent = (b[0] >> 1, b[1] >> 1)
-            acc = me_by_level[lv].setdefault(
-                parent, np.zeros(2 * P - 1, dtype=complex)
-            )
-            acc += up[b[0] & 1, b[1] & 1] @ coeffs
-
-    # downward: M2L plus L2L.  For equal wavenumbers the matrix depends
-    # only on the image-frame offset; across a wavenumber contrast h_t
-    # and h_s enter separately, so the cache key also carries both rows
-    # (far pairs with distinct layers hug the interface, keeping the
-    # number of distinct keys per level O(1) either way).
+    # For equal wavenumbers an M2L matrix depends only on the image-frame
+    # offset; across a wavenumber contrast h_t and h_s enter separately,
+    # so the cache key also carries both rows (far pairs with distinct
+    # layers hug the interface, keeping the number of distinct keys per
+    # level O(1) either way).
     same_k = k_t == k_s
     m2l_cache = {}
     # one sigma memo for every matrix of this pass, dropped on return
     sigma = SigmaMemo(medium, cid)
-    le_prev = {}
-    for lv in range(2, level + 1):
-        tgt_lv = tree.boxes(tgt_local, lv)
-        _, far = interaction_lists(tgt_lv.keys(), me_by_level[lv].keys(), config.c0)
-        le_now = {}
-        for b in tgt_lv:
-            coeffs = np.zeros(2 * P - 1, dtype=complex)
-            if b in le_prev:
-                coeffs += le_prev[b]
-            for s in far[b]:
-                dix = b[0] - s[0]
-                if same_k:
-                    key = (lv, abs(dix), b[1] - s[1])
-                else:
-                    key = (lv, abs(dix), b[1], s[1])
-                if key not in m2l_cache:
-                    x_cl = tree.center(b, lv)
-                    x_c = polarization_preimage(medium, cid, tree.center(s, lv))
-                    if dix < 0:
-                        # build the mirrored-offset matrix; evenness in
-                        # lambda gives A(-X) = A(X) with both order axes
-                        # reversed, so one quadrature serves both signs
-                        x_c = (2 * x_cl[0] - x_c[0], x_c[1])
-                    m2l_cache[key] = _m2l_matrix(
-                        operators, medium, cid, x_cl, x_c, P, spec, sigma
-                    )
-                mat = m2l_cache[key]
-                if dix < 0:
-                    mat = mat[::-1, ::-1]
-                coeffs += mat @ me_by_level[lv][s]
-            le_now[b] = coeffs
-        if lv == level:
-            for b, idx in tgt_lv.items():
-                if not np.any(np.abs(le_now[b])):
-                    continue
-                _eval_local_at(
-                    out,
-                    tgt_idx[idx],
-                    le_now[b],
-                    tree.center(b, lv),
-                    tgt_xy[idx],
-                    k_t,
-                    tau_t,
-                    P,
-                )
-        else:
-            kerns = _child_kernels(operators, tree.cell_at(lv + 1), k_t, P, tau_t)
-            down = {c: _toeplitz(kern, P, -1) for c, kern in kerns.items()}
-            le_prev = {}
-            for b, coeffs in le_now.items():
-                for (cx, cy), shift in down.items():
-                    le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
 
+    def far_m2l(lv, b, s):
+        dix = b[0] - s[0]
+        key = (lv, abs(dix), b[1] - s[1]) if same_k else (lv, abs(dix), b[1], s[1])
+        if key not in m2l_cache:
+            x_cl = tree.center(b, lv)
+            x_c = polarization_preimage(medium, cid, tree.center(s, lv))
+            if dix < 0:
+                # build the mirrored-offset matrix; evenness in lambda
+                # gives A(-X) = A(X) with both order axes reversed, so
+                # one quadrature serves both signs
+                x_c = (2 * x_cl[0] - x_c[0], x_c[1])
+            x_cl, x_c = _point(x_cl), _point(x_c)
+            m2l_cache[key] = _operator(
+                operators,
+                ("m2l", cid, P, spec, x_cl, x_c),
+                lambda: m2l(medium, cid, x_cl, x_c, P, P, spec, sigma=sigma).matrix,
+            )
+        mat = m2l_cache[key]
+        return mat[::-1, ::-1] if dix < 0 else mat
 
-def _eval_local_at(out, global_idx, coeffs, center, pts, k, tau, P):
-    dx = pts[:, 0] - center[0]
-    dy = pts[:, 1] - center[1]
-    rho = np.hypot(dx, dy)
-    th = np.arctan2(dy, dx)
-    j = bessel_j_orders(k * rho, P - 1)  # (2P-1, n)
-    orders = np.arange(-(P - 1), P)
-    phases = np.exp(1j * np.outer(orders, tau * th))
-    out[global_idx] += (coeffs[:, None] * j * phases).sum(axis=0)
+    def m2m_kernels(cell):
+        # the preimage map reverses y, so the y offset flips sign
+        return _child_kernels(operators, cell, k_s, P, tau_s, -tau_s * tau_t)
+
+    def l2l_kernels(cell):
+        return _child_kernels(operators, cell, k_t, P, tau_t)
+
+    _far_field(
+        tree, leaf_s, P, config, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
+        (k_t, tau_t), tgt_xy, out, tgt_idx,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +502,7 @@ def _free_space_pass(
     medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx, operators
 ):
     k = medium.wavenumbers[layer]
-    n_tgt = tgt_xy.shape[0]
-    n_src = src_xy.shape[0]
-    cloud = np.vstack([tgt_xy, src_xy])
-    level = max(
-        2, min(config.max_level, math.ceil(math.log(max(cloud.shape[0], 4) / config.leaf_size, 4)))
-    )
-    tree = QuadTree(cloud, level)
-    tgt_local = np.arange(n_tgt)
-    src_local = np.arange(n_tgt, n_tgt + n_src)
-    leaf_t = tree.boxes(tgt_local, level)
-    leaf_s = tree.boxes(src_local, level)
-    near, _ = interaction_lists(leaf_t.keys(), leaf_s.keys(), config.c0)
+    tree, leaf_t, leaf_s, near = _tree(tgt_xy, src_xy, config)
 
     # near field: direct Hankel sums; a zero-distance pair adds nothing
     for b in leaf_t:
@@ -511,7 +510,7 @@ def _free_space_pass(
         src_boxes = [s for s in near[b] if s in leaf_s]
         if not src_boxes:
             continue
-        sl = np.concatenate([leaf_s[s] for s in src_boxes]) - n_tgt
+        sl = np.concatenate([leaf_s[s] for s in src_boxes])
         ti = np.repeat(tl, sl.shape[0])
         sj = np.tile(sl, tl.shape[0])
         r = np.hypot(tgt_xy[ti, 0] - src_xy[sj, 0], tgt_xy[ti, 1] - src_xy[sj, 1])
@@ -520,76 +519,35 @@ def _free_space_pass(
         acc = (src_q[sj] * vals).reshape(tl.shape[0], sl.shape[0]).sum(axis=1)
         out[tgt_idx[tl]] += acc
 
-    if level < 2:
-        return
-    eps_pass = config.eps * 0.1
-    scale_rho = 0.35 * tree.cell_at(2) * (near_radius(config.c0) + 2)
-    ratio = math.sqrt(0.5) / (near_radius(config.c0) + 1 - math.sqrt(0.5))
-    P = choose_truncation(min(ratio, 0.45), eps_pass, k, scale_rho, C_safe=30.0)
-    if P > config.max_order:
-        raise DomainError(
-            f"target tolerance needs order {P} > configured maximum "
-            f"{config.max_order}"
-        )
+    P = _pass_order(k, tree, config)
 
-    me_by_level = {level: {}}
-    for b, idx in leaf_s.items():
-        me = fs_me(src_xy[idx - n_tgt], src_q[idx - n_tgt], tree.center(b, level), k, P)
-        me_by_level[level][b] = me.coeffs
-
-    for lv in range(level - 1, 1, -1):
-        kerns = _child_kernels(operators, tree.cell_at(lv + 1), k, P)
-        up = {c: _toeplitz(np.conj(kern), P, 1) for c, kern in kerns.items()}
-        me_by_level[lv] = {}
-        for b, coeffs in sorted(me_by_level[lv + 1].items()):
-            parent = (b[0] >> 1, b[1] >> 1)
-            acc = me_by_level[lv].setdefault(parent, np.zeros(2 * P - 1, dtype=complex))
-            acc += up[b[0] & 1, b[1] & 1] @ coeffs
+    def leaf_me(b, j):
+        return fs_me(src_xy[j], src_q[j], tree.center(b, tree.level), k, P).coeffs
 
     m2l_cache = {}
-    le_prev = {}
     nmax = 2 * P - 2
-    for lv in range(2, level + 1):
-        tgt_lv = tree.boxes(tgt_local, lv)
-        _, far = interaction_lists(tgt_lv.keys(), me_by_level[lv].keys(), config.c0)
-        le_now = {}
-        for b in tgt_lv:
-            coeffs = np.zeros(2 * P - 1, dtype=complex)
-            if b in le_prev:
-                coeffs += le_prev[b]
-            for s in far[b]:
-                key = (lv, b[0] - s[0], b[1] - s[1])
-                if key not in m2l_cache:
-                    bx = tree.center(b, lv)[0] - tree.center(s, lv)[0]
-                    by = tree.center(b, lv)[1] - tree.center(s, lv)[1]
-                    rho = math.hypot(bx, by)
-                    th = math.atan2(by, bx)
-                    h = hankel1_orders(np.array([k * rho]), nmax)[:, 0]
-                    n = np.arange(-nmax, nmax + 1)
-                    m2l_cache[key] = _toeplitz(0.25j * h * np.exp(1j * n * th), P, -1)
-                coeffs += m2l_cache[key] @ me_by_level[lv][s]
-            le_now[b] = coeffs
-        if lv == level:
-            for b, idx in tgt_lv.items():
-                if not np.any(np.abs(le_now[b])):
-                    continue
-                _eval_local_at(
-                    out,
-                    tgt_idx[idx],
-                    le_now[b],
-                    tree.center(b, lv),
-                    tgt_xy[idx],
-                    k,
-                    1.0,
-                    P,
-                )
-        else:
-            kerns = _child_kernels(operators, tree.cell_at(lv + 1), k, P)
-            down = {c: _toeplitz(kern, P, -1) for c, kern in kerns.items()}
-            le_prev = {}
-            for b, coeffs in le_now.items():
-                for (cx, cy), shift in down.items():
-                    le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
+
+    def far_m2l(lv, b, s):
+        key = (lv, b[0] - s[0], b[1] - s[1])
+        if key not in m2l_cache:
+            bx = tree.center(b, lv)[0] - tree.center(s, lv)[0]
+            by = tree.center(b, lv)[1] - tree.center(s, lv)[1]
+            h = hankel1_orders(np.array([k * math.hypot(bx, by)]), nmax)[:, 0]
+            n = np.arange(-nmax, nmax + 1)
+            kern = 0.25j * h * np.exp(1j * n * math.atan2(by, bx))
+            m2l_cache[key] = _toeplitz(kern, P, P, -1)
+        return m2l_cache[key]
+
+    def l2l_kernels(cell):
+        return _child_kernels(operators, cell, k, P)
+
+    def m2m_kernels(cell):
+        return {c: np.conj(kern) for c, kern in l2l_kernels(cell).items()}
+
+    _far_field(
+        tree, leaf_s, P, config, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
+        (k, 1.0), tgt_xy, out, tgt_idx,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -656,29 +614,14 @@ class FmmPlan:
             tgt_sel = np.nonzero(t_layers == t)[0]
             for s in sorted(set(s_layers.tolist())):
                 src_sel = np.nonzero(s_layers == s)[0]
+                points = (sources.xy[src_sel], sources.q[src_sel], targets[tgt_sel])
                 for cid in admissible_components(t, s, L):
                     _reaction_pass(
-                        medium,
-                        cid,
-                        sources.xy[src_sel],
-                        sources.q[src_sel],
-                        targets[tgt_sel],
-                        config,
-                        out,
-                        tgt_sel,
-                        self._operators,
+                        medium, cid, *points, config, out, tgt_sel, self._operators
                     )
                 if s == t:
                     _free_space_pass(
-                        medium,
-                        t,
-                        sources.xy[src_sel],
-                        sources.q[src_sel],
-                        targets[tgt_sel],
-                        config,
-                        out,
-                        tgt_sel,
-                        self._operators,
+                        medium, t, *points, config, out, tgt_sel, self._operators
                     )
         return out
 

@@ -308,7 +308,6 @@ class ContourSpec:
     lam_max: float = None
     pole_mode: str = "corrected"
     full_line: bool = False
-    cdh_tails: bool = False
     cdh_aperture: float = 5.0
     max_panels: int = 6000
 

@@ -94,9 +94,6 @@ class PoleInfo:
     residues: dict
     side: int
 
-    def residue_for(self, cid):
-        return self.residues[cid]
-
 
 def _wavenumbers(medium, k_values=None):
     if k_values is None:

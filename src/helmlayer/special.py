@@ -292,21 +292,18 @@ def w_from_h(lam, h, k):
 
 
 def w_map(lam, k):
-    """Spectral-to-cylindrical map w(lambda) = (lambda - h(lambda)) / k."""
-    k = float(k)
-    if not k > 0.0:
+    """Spectral-to-cylindrical map w(lambda) = (lambda - h(lambda)) / k.
+
+    Scalar front of :func:`w_map_arr`; a real lam keeps the exact branch.
+    """
+    if not float(k) > 0.0:
         raise DomainError("w_map requires k > 0")
-    lam_c = complex(lam)
-    if lam_c.imag == 0.0:
-        arg = (lam_c.real - k) * (lam_c.real + k)
-    else:
-        arg = (lam_c - k) * (lam_c + k)
-    h = branch_sqrt(arg)
-    return complex(w_from_h(np.asarray(lam_c), h, k))
+    lam = complex(lam)
+    return complex(w_map_arr(lam.real if lam.imag == 0.0 else lam, k))
 
 
 def w_map_arr(lam, k, dinfo=None):
-    """Vectorized :func:`w_map`; real input arrays keep the exact branch."""
+    """w(lambda) on an array; real input arrays keep the exact branch."""
     k = float(k)
     lam = np.asarray(lam)
     h = branch_sqrt_arr(hsq(lam, k, dinfo))

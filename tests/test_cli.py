@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helmlayer.cli import SCHEMA_VERSION, main
+from helmlayer.cli import SCHEMA_VERSION, build_parser, main
 from helmlayer.medium import acoustic
 from helmlayer.quadrature import ContourSpec, green
 
@@ -144,6 +144,13 @@ kind = frobnicate
 """
         code, _ = run(tmp_path, cfg, "v")
         assert code == 3
+
+    def test_workers_flag_rejected(self, capsys):
+        # the flag set nothing; argparse now refuses it with its usage code
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--config", "job.ini", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestCdhCheck:

@@ -25,8 +25,10 @@ from helmlayer.quadrature import (
     tail_cutoff,
 )
 from helmlayer.sigma import sigma_component_batch
-from helmlayer.special import branch_sqrt_arr, hsq, w_from_h
+from helmlayer.special import branch_sqrt_arr, hankel1_orders, hsq, w_from_h
 from helmlayer.expansions import (
+    FreeSpaceME,
+    LocalExpansion,
     _orders,
     _power_family,
     choose_truncation,
@@ -47,6 +49,7 @@ from helmlayer.expansions import (
     me_eval,
     me_expansion_functions,
     partial_sum_errors,
+    regular_orders,
 )
 
 SOFT = sound_soft_halfspace(1.0)
@@ -396,6 +399,78 @@ class TestFreeSpace:
         fsme = fs_me([(0.4, 0.0)], [1.0], (0.0, 0.0), 1.0, 8)
         with pytest.raises(FarFieldError):
             fs_me_eval(fsme, (0.6, 0.0))
+
+
+def loop_l2l(le, new_center, P):
+    """The scalar double loop l2l was written as, kept as the reference."""
+    shift = (new_center[0] - le.center[0], new_center[1] - le.center[1])
+    M = le.M
+    nmax = max(P + M - 2, 0)
+    kern = regular_orders(shift, le.k_target, nmax, tau=le.cid.dir_t.tau)
+    m_out = _orders(M)
+    p_in = _orders(P)
+    coeffs = np.zeros(2 * M - 1, dtype=complex)
+    # source coefficients truncated to |p| < P
+    src = np.zeros(2 * P - 1, dtype=complex)
+    for i, p in enumerate(p_in):
+        if abs(p) < M:
+            src[i] = le.coeffs[p + M - 1]
+    for i, m in enumerate(m_out):
+        acc = 0.0 + 0.0j
+        for jdx, p in enumerate(p_in):
+            acc += src[jdx] * kern[(p - m) + nmax]
+        coeffs[i] = acc
+    return coeffs
+
+
+def loop_fs_m2l(fsme, local_center, M):
+    """The scalar double loop fs_m2l was written as, kept as the reference."""
+    b = (local_center[0] - fsme.center[0], local_center[1] - fsme.center[1])
+    P = fsme.P
+    nmax = P + M - 2
+    rho = math.hypot(*b)
+    th = math.atan2(b[1], b[0])
+    h = hankel1_orders(np.array([fsme.k * rho]), nmax)[:, 0]
+    n = np.arange(-nmax, nmax + 1)
+    o = h * np.exp(1j * n * th)
+    q_out = _orders(M)
+    p_in = _orders(P)
+    coeffs = np.zeros(2 * M - 1, dtype=complex)
+    for i, q in enumerate(q_out):
+        acc = 0.0 + 0.0j
+        for jdx, p in enumerate(p_in):
+            acc += fsme.coeffs[jdx] * o[(p - q) + nmax]
+        coeffs[i] = 0.25j * acc
+    return coeffs
+
+
+class TestToeplitzTranslations:
+    """Translations as one Toeplitz product against their scalar loops."""
+
+    @staticmethod
+    def coeffs(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=2 * n - 1) + 1j * rng.normal(size=2 * n - 1)
+
+    @pytest.mark.parametrize("M, P", [(6, 11), (9, 9), (12, 5)])
+    def test_l2l_matches_loop(self, M, P):
+        le = LocalExpansion(
+            UPUP, (0.3, 1.9), 1.3, 0.0, self.coeffs(M, 55 + M), reach=5.0
+        )
+        new_c = (0.38, 1.84)
+        got = l2l(le, new_c, P).coeffs
+        want = loop_l2l(le, new_c, P)
+        assert got.shape == (2 * M - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("M, P", [(6, 11), (9, 9), (12, 5)])
+    def test_fs_m2l_matches_loop(self, M, P):
+        fsme = FreeSpaceME((0.1, -0.08), 1.1, self.coeffs(P, 56 + P), radius=0.4)
+        local_c = (2.6, 1.4)
+        got = fs_m2l(fsme, local_c, M).coeffs
+        want = loop_fs_m2l(fsme, local_c, M)
+        assert got.shape == (2 * M - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def dense_power_family(medium, cid, alpha, beta, X, p_orders, m_orders, spec):

@@ -34,6 +34,8 @@ from helmlayer.fmm import (
 
 TWO_LAYER = acoustic((0.0,), (1.0, 1.5))
 SLAB = acoustic((0.0, -1.0), (1.0, 2.0, 1.0))
+# pole-free: the wavenumber grows downward, so no layer guides a mode
+THREE_LAYER = acoustic((0.0, -1.0), (1.0, 1.5, 2.0))
 
 
 def near_interface_cloud(n, rng, gap=0.02):
@@ -241,6 +243,27 @@ class TestEquivalence:
         src = SourceSet(np.array([[0.0, 0.5]]), np.array([1.0]))
         with pytest.raises(DomainError):
             evaluate_all(SLAB, src, np.array([[1.0, 0.5]]), FmmConfig())
+
+    def test_three_layers_outer_layers_match_direct(self):
+        # points in layers 0 and 2 only, at least 0.08 from each interface:
+        # every pass reaches across one or both interfaces
+        rng = np.random.default_rng(73)
+
+        def outer_layers(m):
+            top = np.column_stack(
+                [rng.uniform(-1.5, 1.5, m), rng.uniform(0.08, 1.2, m)]
+            )
+            bottom = np.column_stack(
+                [rng.uniform(-1.5, 1.5, m), rng.uniform(-2.2, -1.08, m)]
+            )
+            return np.vstack([top, bottom])
+
+        src = SourceSet(outer_layers(50), rng.uniform(0.5, 1.5, 100))
+        tgt = outer_layers(50)
+        config = FmmConfig(eps=1e-6, leaf_size=10)
+        f = evaluate_all(THREE_LAYER, src, tgt, config)
+        d = direct_sum(THREE_LAYER, src, tgt, rtol=1e-9)
+        assert np.linalg.norm(f - d) / np.linalg.norm(d) < config.eps
 
 
 class TestSeparableNearField:
@@ -464,6 +487,49 @@ class TestReproducibility:
         ]
         assert len(outs[0]) == 150 * 16 * 2
         assert outs[0] == outs[1]
+
+
+_TRACE_ONCE = """
+import sys
+import numpy as np
+from tracing import Tracer
+from helmlayer.fmm import FmmConfig, evaluate_all, random_two_layer_cloud
+from helmlayer.medium import acoustic
+tracer = Tracer()
+tracer.install()
+m = acoustic((0.0,), (1.0, 1.5))
+src, tgt = random_two_layer_cloud(m, 120, np.random.default_rng(74))
+tracer.active = True
+evaluate_all(m, src, tgt, FmmConfig(eps=1e-6, leaf_size=10))
+c = tracer.counts
+print(c["fmm.reaction_pass.calls"], c["fmm.free_space_pass.calls"], c["fmm.far_pairs"])
+"""
+
+
+class TestBenchmarkTraceHooks:
+    def test_tracer_sees_both_passes_and_far_pairs(self):
+        # bench/tracing.py wraps the passes and interaction_lists by their
+        # module names; if the FMM stops reaching them through those
+        # names, the per-layer counters would silently read 0
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p
+            for p in (str(root / "src"), str(root / "bench"), env.get("PYTHONPATH"))
+            if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _TRACE_ONCE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        reaction, free_space, far_pairs = (float(v) for v in out)
+        # two layers: four reaction components, one free-space pass per layer
+        assert reaction == 4
+        assert free_space == 2
+        assert far_pairs > 0
 
 
 class TestScalingHelpers:

@@ -22,8 +22,12 @@ All spectral integrals for the order-indexed families share one sigma
 solve per quadrature node: the integrand factors into sigma * E times
 powers of two per-node values (-i w_s) and (i / w_t), and both signs of
 the symmetrized half-line integrand use the same solve.  The quadrature
-takes that factored form as it is, so a panel of an M2L matrix costs
-two small GEMMs instead of a (nodes x orders^2) array.
+takes that factored form as it is, so a panel of an M2L matrix is two
+small GEMMs instead of a (nodes x orders^2) array.  The M2L matrices of
+an FMM pass are built in lockstep (``m2l_family``): the geometry and
+contour map are per-panel arrays, so one integrand call evaluates a
+chunk of panels of many matrices, their GEMMs go through one stacked
+matmul, and a round of refinement solves sigma once for all of them.
 """
 
 import math
@@ -41,6 +45,7 @@ from .quadrature import (
     ContourSpec,
     Segment,
     SigmaMemo,
+    adaptive_family,
     adaptive_segments,
     _build_segments,
     component_abs_floor,
@@ -212,39 +217,79 @@ def _power_family(
     integral (the cos(lam X) oscillation cancels it back down), while on
     the deformed contour it decays pointwise like the result, so no
     relative accuracy is lost to cancellation.
+
+    The integrands are family integrands (see ``Segment``): alpha, beta,
+    X, the sign of each term and the contour map (real axis with sqrt
+    substitution, CdH segment, hyperbola) are per-panel arrays, so
+    ``_power_families`` evaluates a round of panels of many geometries
+    in one call.  Here the one geometry's panels go one by one through
+    ``adaptive_segments``.
     """
+    (segs, atol), = _power_members(
+        medium, cid, [(alpha, beta, X)], p_orders, m_orders, spec, sigma
+    )
+    res = adaptive_segments(
+        segs, spec.rtol, atol=atol, max_panels=_power_budget(spec, p_orders, m_orders)
+    )
+    return res.value.reshape(len(p_orders), len(m_orders)).T
+
+
+def _power_families(medium, cid, geometries, p_orders, m_orders, spec, sigma=None):
+    """``_power_family`` at many (alpha, beta, X), as one lockstep family.
+
+    The integrals refine independently, with the panels ``_power_family``
+    takes for each geometry, and a round evaluates the new panels of all
+    of them together.  A matrix is the running sum of its panels, which
+    differs from the sorted sum ``_power_family`` returns by rounding
+    alone (see ``adaptive_family``).
+    """
+    members = _power_members(medium, cid, geometries, p_orders, m_orders, spec, sigma)
+    out = [None] * len(members)
+    budget = _power_budget(spec, p_orders, m_orders)
+    for i, res in adaptive_family(members, spec.rtol, max_panels=budget):
+        out[i] = res.value.reshape(len(p_orders), len(m_orders)).T
+    return out
+
+
+def _power_budget(spec, p_orders, m_orders):
+    # the refinement budget competes across all order components
+    return spec.max_panels + 150 * (len(p_orders) + len(m_orders))
+
+
+def _real_if_real(lam):
+    if not np.isrealobj(lam) and np.all(lam.imag == 0.0):
+        return lam.real.copy()
+    return lam
+
+
+def _power_members(medium, cid, geometries, p_orders, m_orders, spec, sigma):
+    """(segments, atol) of the ``_power_family`` integral of each geometry."""
     if sigma is None:
         sigma = SigmaMemo(medium, cid)
     elif sigma.medium is not medium or sigma.cid != cid:
         raise DomainError("sigma memo belongs to another medium or component")
     k_t = medium.wavenumbers[cid.t]
     k_s = medium.wavenumbers[cid.s]
+    k_map = max(k_t, k_s)
     k_split = spec.resolve_split(medium)
     p_arr = np.asarray(p_orders)
     m_arr = np.asarray(m_orders)
     p_max = int(np.max(np.abs(p_arr)))
     m_max = int(np.max(np.abs(m_arr)))
     order_boost = p_max + m_max
-    H = alpha + beta
+    # table columns of the terms of sign +1 and -1
+    cols_p = p_max + np.multiply.outer((1, -1), p_arr)
+    cols_m = m_max + np.multiply.outer((1, -1), m_arr)
 
-    # columns of the power tables per term: sign -1 reads negated orders
-    columns = {
-        signs: (
-            p_max + np.multiply.outer(signs, p_arr),
-            m_max + np.multiply.outer(signs, m_arr),
-        )
-        for signs in ((1, -1), (1,), (-1,))
-    }
+    def factors(lam, dinfo, signs, geo):
+        """(c, A, B) of n panels at (possibly complex) nodes lam, (n, 15).
 
-    def factors(lam, signs, dinfo=None):
-        """(c, A, B) at (possibly complex) lam, one term per sign of X.
-
-        sign=+1 is the native integrand; sign=-1 is the lam -> -lam
-        reflection by evenness of sigma and h.
+        signs (n, R) gives each term's sign of X: +1 is the native
+        integrand, -1 the lam -> -lam reflection by evenness of sigma and
+        h.  geo (n, 3) holds alpha, beta, X per panel, complex so that
+        they multiply the complex node values as the scalars they are.
         """
-        lam = np.asarray(lam)
-        if not np.isrealobj(lam) and np.all(lam.imag == 0.0):
-            lam = lam.real.copy()
+        lam = _real_if_real(lam)
         ht = branch_sqrt_arr(hsq(lam, k_t, dinfo))
         wt = w_from_h(lam, ht, k_t)
         if k_s == k_t:
@@ -252,72 +297,106 @@ def _power_family(
         else:
             hs = branch_sqrt_arr(hsq(lam, k_s, dinfo))
             ws = w_from_h(lam, hs, k_s)
-        sig = sigma(lam, dinfo)
+        sig = sigma.rows(lam, dinfo)
+        alpha, beta, X = geo[:, 0:1], geo[:, 1:2], geo[:, 2:3]
         phase = 1j * lam * X
-        c = sig * np.exp(
-            (-ht * alpha - hs * beta) + np.asarray(signs)[:, None] * phase
+        c = sig[:, None] * np.exp(
+            (-ht * alpha - hs * beta)[:, None] + signs[:, :, None] * phase[:, None]
         )
-        cols_p, cols_m = columns[signs]
-        A = _power_table(-1j * ws, 1j / ws, p_max)[:, cols_p]
-        B = _power_table(1j / wt, -1j * wt, m_max)[:, cols_m]
-        return c, A.transpose(1, 0, 2), B.transpose(1, 0, 2)
+        A = _power_table(-1j * ws.ravel(), 1j / ws.ravel(), p_max)
+        B = _power_table(1j / wt.ravel(), -1j * wt.ravel(), m_max)
+        return c, term_rows(A, cols_p, signs), term_rows(B, cols_m, signs)
 
-    def f_sym(lam, dinfo=None):
-        return factors(lam, (1, -1), dinfo)
+    def term_rows(table, cols, signs):
+        """(n, R, nodes, orders) rows of each term from a power table.
+
+        A term of sign -1 reads the table at negated orders.
+        """
+        n, R = signs.shape
+        both = np.take(table.reshape(n, -1, table.shape[1]), cols, axis=2)
+        if R == 2:  # the signs (1, -1) of the real axis
+            return both.transpose(0, 2, 1, 3)
+        return both[np.arange(n)[:, None], :, (signs < 0).astype(int)]
+
+    def f_sym(lam, dinfo, params):
+        # the real axis, both signs of X; params are (alpha, beta, X)
+        signs = np.tile((1, -1), (lam.shape[0], 1))
+        return factors(lam, dinfo, signs, np.array(params, dtype=complex))
+
+    def cdh_map(u, par):
+        """Nodes and jacobians of n panels on the CdH contour.
+
+        A row of par ends in (sign, 0, phi(k_split) - k_split, 0) on the
+        segment from k_split to phi(k_split), and in (sign, 1, cos b,
+        sin b) on the hyperbola phi(u) = u cos b + i sqrt(u^2 - k_map^2)
+        sin b.
+        """
+        lam = np.empty(u.shape, dtype=complex)
+        jac = np.empty(u.shape, dtype=complex)
+        seg = par[:, 4].real == 0.0
+        if seg.any():
+            step = par[seg, 5:6]
+            lam[seg] = k_split + u[seg] * step
+            jac[seg] = step
+        hyp = ~seg
+        if hyp.any():
+            lamp = u[hyp]
+            cos_b, sin_b = par[hyp, 5:6].real, par[hyp, 6:7].real
+            root = np.sqrt(lamp * lamp - k_map * k_map)
+            lam[hyp] = lamp * cos_b + 1j * root * sin_b
+            jac[hyp] = cos_b + 1j * lamp * sin_b / root
+        return lam, jac
+
+    def f_cdh(u, dinfo, params):
+        # one sign of X per panel, on the Cagniard--de Hoop contour
+        par = np.array(params, dtype=complex)
+        lam, jac = cdh_map(u, par)
+        c, A, B = factors(lam, None, par[:, 3:4].real.astype(int), par)
+        return c * jac[:, None], A, B
+
+    # a round's misses of sigma are solved in one call per piece
+    f_sym.prepare = lambda lam, dinfo, params: sigma.fill(lam, dinfo)
+    f_cdh.prepare = lambda u, dinfo, params: sigma.fill(
+        _real_if_real(cdh_map(u, np.array(params, dtype=complex))[0])
+    )
 
     branch = sorted(set(medium.wavenumbers))
-    segs = _build_segments(
-        f_sym, 0.0, k_split, branch, X, min_extra=order_boost // 8
-    )
-
-    if X == 0.0:
-        lam_max = tail_cutoff(
-            H, spec.rtol, max(k_t, k_s), order=order_boost, k_order=min(k_t, k_s)
+    members = []
+    for alpha, beta, X in geometries:
+        H = alpha + beta
+        geo = (alpha, beta, X)
+        segs = _build_segments(
+            f_sym, 0.0, k_split, branch, X, min_extra=order_boost // 8, params=geo
         )
-        lam_max = max(lam_max, 1.5 * k_split, spec.lam_max or 0.0)
-        segs += _build_segments(f_sym, k_split, lam_max, [], 0.0)
-    else:
-        k_map = max(k_t, k_s)
-        rho = math.hypot(X, H)
-        lam_max = tail_cutoff(
-            rho, spec.rtol, k_map, order=order_boost, k_order=min(k_t, k_s)
-        )
-        lam_max = max(lam_max, 1.5 * k_split, spec.lam_max or 0.0)
-        for sign in (1, -1):
-            theta = math.atan2(H, sign * X)
-            b_ang = 0.5 * math.pi - theta
-            phi_ks = complex(
-                k_split * math.cos(b_ang),
-                math.sqrt(k_split**2 - k_map**2) * math.sin(b_ang),
+        if X == 0.0:
+            lam_max = tail_cutoff(
+                H, spec.rtol, k_map, order=order_boost, k_order=min(k_t, k_s)
             )
-
-            def f_kappa(t, _s=sign, _p=phi_ks):
-                lam = k_split + t * (_p - k_split)
-                c, A, B = factors(lam, (_s,))
-                return c * (_p - k_split), A, B
-
-            def f_hyper(lamp, _s=sign, _b=b_ang):
-                lamp = np.asarray(lamp, dtype=float)
-                root = np.sqrt(lamp * lamp - k_map * k_map)
-                lam = lamp * math.cos(_b) + 1j * root * math.sin(_b)
-                dphi = math.cos(_b) + 1j * lamp * math.sin(_b) / root
-                c, A, B = factors(lam, (_s,))
-                return c * dphi, A, B
-
-            segs.append(Segment(f_kappa, 0.0, 1.0, "none", 2))
-            segs += _build_segments(
-                f_hyper, k_split, lam_max, [], 0.0, min_extra=order_boost // 12
+            lam_max = max(lam_max, 1.5 * k_split, spec.lam_max or 0.0)
+            segs += _build_segments(f_sym, k_split, lam_max, [], 0.0, params=geo)
+        else:
+            rho = math.hypot(X, H)
+            lam_max = tail_cutoff(
+                rho, spec.rtol, k_map, order=order_boost, k_order=min(k_t, k_s)
             )
-
-    res = adaptive_segments(
-        segs,
-        spec.rtol,
-        atol=component_abs_floor(spec.rtol, H),
-        # the refinement budget competes across all order components
-        max_panels=spec.max_panels + 150 * (len(p_orders) + len(m_orders)),
-    )
-    out = res.value.reshape(len(p_orders), len(m_orders)).T
-    return out
+            lam_max = max(lam_max, 1.5 * k_split, spec.lam_max or 0.0)
+            for sign in (1, -1):
+                theta = math.atan2(H, sign * X)
+                b_ang = 0.5 * math.pi - theta
+                phi_ks = complex(
+                    k_split * math.cos(b_ang),
+                    math.sqrt(k_split**2 - k_map**2) * math.sin(b_ang),
+                )
+                segs.append(
+                    Segment(f_cdh, 0.0, 1.0, "none", 2, geo + (sign, 0, phi_ks - k_split, 0))
+                )
+                segs += _build_segments(
+                    f_cdh, k_split, lam_max, [], 0.0,
+                    min_extra=order_boost // 12,
+                    params=geo + (sign, 1, math.cos(b_ang), math.sin(b_ang)),
+                )
+        members.append((segs, component_abs_floor(spec.rtol, H)))
+    return members
 
 
 def _check_pole_free(medium, spec):
@@ -429,6 +508,27 @@ def m2l(
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     return TranslationMatrix(
         cid, tuple(x_c), tuple(x_c_l), A, D, medium.wavenumbers[cid.t], d_t
+    )
+
+
+def m2l_family(medium, cid, centers, M, P, spec=None, sigma=None):
+    """M2L matrices A_mp for many (local center, source center) pairs.
+
+    All pairs belong to one component and one spec, and their
+    quadratures run as one lockstep family (``_power_families``): a
+    round of panels of every matrix costs one integrand call per chunk
+    of panels and one sigma solve.  Matrix i takes the panels of
+    ``m2l(medium, cid, *centers[i], M, P, spec, sigma=sigma).matrix``
+    and differs from it by rounding alone.  sigma, as there, changes how
+    often sigma is solved, never a matrix.
+    """
+    spec = spec or ContourSpec()
+    _check_pole_free(medium, spec)
+    geometries = [
+        component_geometry_centers(medium, cid, x_c_l, x_c) for x_c_l, x_c in centers
+    ]
+    return _power_families(
+        medium, cid, geometries, _orders(P), _orders(M), spec, sigma
     )
 
 

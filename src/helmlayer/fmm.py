@@ -19,11 +19,19 @@ generating-function shifts.
 
 The translation matrices depend only on the (quantized) image-frame
 offset between box centers, so each level needs a few dozen spectral
-quadratures regardless of N.  The quadratures of one pass share a
-``SigmaMemo``: matrices that start from the same panels, or run on the
-same (H, X) contour, meet the same spectral node arrays and solve the
-interface system once per array and pass.  The memo is local to the
-pass and goes when it returns.  Near-field interactions go through a
+quadratures regardless of N.  The interaction lists of every level
+depend only on the tree, so a pass lists them first (each level once)
+and builds every matrix it lacks in one lockstep family
+(``expansions.m2l_family``): the quadratures refine independently, with
+the panels a build of their own takes, while each round evaluates the
+new panels of all of them in chunked integrand calls.  They share a
+``SigmaMemo``: a round solves the interface system in one go for the
+node arrays no earlier round met, so matrices that start from the same
+panels, or run on the same (H, X) contour, never solve an array twice.
+The memo is local to the pass and goes when it returns.  A matrix is the
+running sum of its panels, so it differs from a one-matrix ``m2l``
+build by rounding alone (below 1e-15 of its largest entry).
+Near-field interactions go through a
 frozen composite rule that shares one interface solve per node across
 every pair, in separable form: per-node moments of each source leaf,
 applied to the points of each target box.  The same-layer free-space
@@ -72,7 +80,7 @@ from .expansions import (
     _toeplitz,
     choose_truncation,
     fs_me,
-    m2l,
+    m2l_family as m2l,  # builds every M2L matrix a pass lacks, in one call
     me_coeffs,
     regular_orders,
 )
@@ -279,11 +287,14 @@ def _child_kernels(operators, cell, k, P, tau=1.0, flip=1.0):
 
 
 def _tree(tgt_xy, src_xy, config, align_y=None):
-    """Tree over targets plus source points, its leaf boxes and near lists.
+    """Tree over targets plus source points, its leaf boxes and lists.
 
-    Returns (tree, leaf_t, leaf_s, near): leaf_t maps a leaf box to the
-    indices of its targets, leaf_s to the indices of its source points
-    (both into their own arrays), near a target leaf to its near leaves.
+    Returns (tree, leaf_t, leaf_s, near, far): leaf_t maps a leaf box to
+    the indices of its targets, leaf_s to the indices of its source
+    points (both into their own arrays), near a target leaf to its near
+    leaves, and far[lv], for lv = 2..tree.level in ascending order, every
+    target box of level lv (sorted) to its far source boxes.  The lists
+    depend only on the tree; each level is listed once.
     """
     n_tgt = tgt_xy.shape[0]
     cloud = np.vstack([tgt_xy, src_xy])
@@ -296,8 +307,14 @@ def _tree(tgt_xy, src_xy, config, align_y=None):
         b: idx - n_tgt
         for b, idx in tree.boxes(np.arange(n_tgt, cloud.shape[0]), level).items()
     }
-    near, _ = interaction_lists(leaf_t.keys(), leaf_s.keys(), config.c0)
-    return tree, leaf_t, leaf_s, near
+    far = {}
+    for lv in range(2, level):
+        shift = level - lv
+        tgt_lv = sorted({(b[0] >> shift, b[1] >> shift) for b in leaf_t})
+        src_lv = {(b[0] >> shift, b[1] >> shift) for b in leaf_s}
+        _, far[lv] = interaction_lists(tgt_lv, src_lv, config.c0)
+    near, far[level] = interaction_lists(leaf_t.keys(), leaf_s.keys(), config.c0)
+    return tree, leaf_t, leaf_s, near, far
 
 
 def _pass_order(k, tree, config):
@@ -321,17 +338,18 @@ def _pass_order(k, tree, config):
 
 
 def _far_field(
-    tree, leaf_s, P, config, leaf_me, m2m_kernels, far_m2l, l2l_kernels, le_wave,
-    tgt_xy, out, tgt_idx,
+    tree, leaf_t, leaf_s, far, P, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
+    le_wave, tgt_xy, out, tgt_idx,
 ):
     """Upward pass, M2L and downward pass of one pass; leaf LEs into out.
 
-    The pass supplies its operators: leaf_me(box, j) gives the ME of its
-    source points j about a leaf box; m2m_kernels(cell) and
-    l2l_kernels(cell) give the shift kernels by child, cell being the
-    child level's box side; far_m2l(lv, b, s) gives the M2L matrix from
-    source box s to target box b at level lv; le_wave = (k, tau) is the
-    wavenumber and orientation of the LE basis.
+    The boxes and lists are those of ``_tree``.  The pass supplies its
+    operators: leaf_me(box, j) gives the ME of its source points j about
+    a leaf box; m2m_kernels(cell) and l2l_kernels(cell) give the shift
+    kernels by child, cell being the child level's box side;
+    far_m2l(lv, b, s) gives the M2L matrix from source box s to target
+    box b at level lv; le_wave = (k, tau) is the wavenumber and
+    orientation of the LE basis.
     """
     level = tree.level
     me_by_level = {level: {b: leaf_me(b, j) for b, j in leaf_s.items()}}
@@ -346,17 +364,14 @@ def _far_field(
             )
             acc += up[b[0] & 1, b[1] & 1] @ coeffs
 
-    tgt_local = np.arange(tgt_xy.shape[0])
     le_prev = {}
-    for lv in range(2, level + 1):
-        tgt_lv = tree.boxes(tgt_local, lv)
-        _, far = interaction_lists(tgt_lv.keys(), me_by_level[lv].keys(), config.c0)
+    for lv, far_lv in far.items():
         le_now = {}
-        for b in tgt_lv:
+        for b, far_b in far_lv.items():
             coeffs = np.zeros(2 * P - 1, dtype=complex)
             if b in le_prev:
                 coeffs += le_prev[b]
-            for s in far[b]:
+            for s in far_b:
                 coeffs += far_m2l(lv, b, s) @ me_by_level[lv][s]
             le_now[b] = coeffs
         if lv < level:
@@ -368,7 +383,7 @@ def _far_field(
                     le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
 
     k, tau = le_wave
-    for b, idx in tgt_lv.items():
+    for b, idx in leaf_t.items():
         if np.any(np.abs(le_now[b])):
             _eval_local_at(
                 out, tgt_idx[idx], le_now[b], tree.center(b, level), tgt_xy[idx], k, tau, P
@@ -404,7 +419,7 @@ def _reaction_pass(
 
     alphas = tau_t * (tgt_xy[:, 1] - d_t)
     betas = tau_s * (src_xy[:, 1] - d_s)
-    tree, leaf_t, leaf_s, near = _tree(tgt_xy, images, config, align_y=d_t)
+    tree, leaf_t, leaf_s, near, far = _tree(tgt_xy, images, config, align_y=d_t)
 
     # frozen near-field rule shared by every pair of this component;
     # near pairs live within the leaf neighborhood, so the oscillation
@@ -456,29 +471,42 @@ def _reaction_pass(
     # layers hug the interface, keeping the number of distinct keys per
     # level O(1) either way).
     same_k = k_t == k_s
-    m2l_cache = {}
-    # one sigma memo for every matrix of this pass, dropped on return
-    sigma = SigmaMemo(medium, cid)
+
+    def m2l_key(lv, b, s):
+        dix = b[0] - s[0]
+        return (lv, abs(dix), b[1] - s[1]) if same_k else (lv, abs(dix), b[1], s[1])
+
+    # every matrix of the pass, with the centers of the first far pair
+    # (by level, target box, source box) that uses it
+    builds = {}
+    for lv, far_lv in far.items():
+        for b, far_b in far_lv.items():
+            for s in far_b:
+                key = m2l_key(lv, b, s)
+                if key in builds:
+                    continue
+                x_cl = tree.center(b, lv)
+                x_c = polarization_preimage(medium, cid, tree.center(s, lv))
+                if b[0] < s[0]:
+                    # build the mirrored-offset matrix; evenness in lambda
+                    # gives A(-X) = A(X) with both order axes reversed, so
+                    # one quadrature serves both signs
+                    x_c = (2 * x_cl[0] - x_c[0], x_c[1])
+                builds[key] = ("m2l", cid, P, spec, _point(x_cl), _point(x_c))
+    # the ones the call or plan lacks are built as one lockstep family,
+    # sharing one sigma memo that is dropped on return
+    missing = list(dict.fromkeys(op for op in builds.values() if op not in operators))
+    if missing:
+        sigma = SigmaMemo(medium, cid)
+        centers = [op[4:] for op in missing]
+        for op, mat in zip(missing, m2l(medium, cid, centers, P, P, spec, sigma)):
+            _freeze(mat)
+            operators[op] = mat
+    m2l_cache = {key: operators[op] for key, op in builds.items()}
 
     def far_m2l(lv, b, s):
-        dix = b[0] - s[0]
-        key = (lv, abs(dix), b[1] - s[1]) if same_k else (lv, abs(dix), b[1], s[1])
-        if key not in m2l_cache:
-            x_cl = tree.center(b, lv)
-            x_c = polarization_preimage(medium, cid, tree.center(s, lv))
-            if dix < 0:
-                # build the mirrored-offset matrix; evenness in lambda
-                # gives A(-X) = A(X) with both order axes reversed, so
-                # one quadrature serves both signs
-                x_c = (2 * x_cl[0] - x_c[0], x_c[1])
-            x_cl, x_c = _point(x_cl), _point(x_c)
-            m2l_cache[key] = _operator(
-                operators,
-                ("m2l", cid, P, spec, x_cl, x_c),
-                lambda: m2l(medium, cid, x_cl, x_c, P, P, spec, sigma=sigma).matrix,
-            )
-        mat = m2l_cache[key]
-        return mat[::-1, ::-1] if dix < 0 else mat
+        mat = m2l_cache[m2l_key(lv, b, s)]
+        return mat[::-1, ::-1] if b[0] < s[0] else mat
 
     def m2m_kernels(cell):
         # the preimage map reverses y, so the y offset flips sign
@@ -488,7 +516,7 @@ def _reaction_pass(
         return _child_kernels(operators, cell, k_t, P, tau_t)
 
     _far_field(
-        tree, leaf_s, P, config, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
+        tree, leaf_t, leaf_s, far, P, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
         (k_t, tau_t), tgt_xy, out, tgt_idx,
     )
 
@@ -502,7 +530,7 @@ def _free_space_pass(
     medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx, operators
 ):
     k = medium.wavenumbers[layer]
-    tree, leaf_t, leaf_s, near = _tree(tgt_xy, src_xy, config)
+    tree, leaf_t, leaf_s, near, far = _tree(tgt_xy, src_xy, config)
 
     # near field: direct Hankel sums; a zero-distance pair adds nothing
     for b in leaf_t:
@@ -545,7 +573,7 @@ def _free_space_pass(
         return {c: np.conj(kern) for c, kern in l2l_kernels(cell).items()}
 
     _far_field(
-        tree, leaf_s, P, config, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
+        tree, leaf_t, leaf_s, far, P, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
         (k, 1.0), tgt_xy, out, tgt_idx,
     )
 

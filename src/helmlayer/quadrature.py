@@ -25,6 +25,7 @@ factor by default; the full-line path is retained for consistency
 checks.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,6 +82,19 @@ GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 G7_WEIGHTS = np.concatenate([_WG[:-1], _WG[::-1]])  # applies to nodes[1::2]
 
 
+# Panels per call of a family integrand: bounds the (panels x terms x
+# nodes x orders) temporaries of a lockstep round, while keeping the
+# per-call overhead small against the panels' arithmetic
+_PANEL_CHUNK = 16
+_TINY = 1e-280  # floor of a substituted panel's offset from its anchor
+# Node arrays per sigma solve of a SigmaMemo: bounds the solve's
+# temporaries when a round of a family asks for thousands at once
+_SOLVE_ROWS = 128
+# Integrals a family has in flight: each holds its running sums, four
+# arrays with one entry per component, while it refines
+_LIVE_INTEGRALS = 16
+
+
 @dataclass
 class Segment:
     """One integration segment with an optional sqrt substitution.
@@ -89,6 +103,21 @@ class Segment:
     cusp) singularity at the left endpoint; the segment is integrated in
     the variable u with lambda = a + u^2.  'right' mirrors this.  The
     engine hands the integrand plain lambda arrays either way.
+
+    With ``params`` None, f is the integrand of this segment alone and is
+    called once per panel as f(lam) or, on substituted segments,
+    f(lam, dinfo).  Otherwise f is a family integrand shared by the
+    segments of many integrals, and params is what sets this segment's
+    integral apart: f(lam, dinfo, params) gets the nodes of n panels as
+    an (n, 15) array, dinfo as None or (anchor, delta) with anchor (n, 1)
+    (NaN on rows without one) and delta (n, 15), and the n panels'
+    params, and returns the values with the panel axis first,
+    (n, 15, ...), or in factored form (c, A, B) with shapes (n, R, 15),
+    (n, R, 15, p) and (n, R, 15, m).  If f has an attribute
+    ``prepare``, ``adaptive_family`` calls it with the same arguments
+    for all of a round's panels of f before calling f on them chunk by
+    chunk, so that f can share work across the chunks (an FMM pass
+    solves sigma there).
     """
 
     f: object
@@ -96,11 +125,17 @@ class Segment:
     b: float
     sub: str = "none"
     min_panels: int = 1
+    params: object = None
 
     def u_range(self):
         if self.sub == "none":
             return self.a, self.b
         return 0.0, math.sqrt(self.b - self.a)
+
+    @property
+    def anchor(self):
+        """The branch point a substituted segment hugs, else None."""
+        return {"none": None, "left": self.a, "right": self.b}[self.sub]
 
     def map(self, u):
         """(lambda, jacobian, dinfo); dinfo carries the exact offset.
@@ -112,12 +147,10 @@ class Segment:
         """
         if self.sub == "none":
             return u, np.ones_like(u), None
-        tiny = 1e-280
-        if self.sub == "left":
-            delta = np.maximum(u * u, tiny)
-            return self.a + delta, 2.0 * u, (self.a, delta)
-        delta = -np.maximum(u * u, tiny)
-        return self.b + delta, 2.0 * u, (self.b, delta)
+        delta = np.maximum(u * u, _TINY)
+        if self.sub == "right":
+            delta = -delta
+        return self.anchor + delta, 2.0 * u, (self.anchor, delta)
 
 
 @dataclass
@@ -131,23 +164,36 @@ class QuadResult:
 
 
 def _factored_sums(c, A, B, scale):
-    """GK15 and G7 sums of sum_r c[r, n] * outer(A[r, n], B[r, n]).
+    """GK15 and G7 sums of n panels of sum_r c[r, k] * outer(A[r, k], B[r, k]).
 
-    Each is one GEMM over the (term, node) rows, flattened row-major.
-    None when a weighted factor or a sum is non-finite.
+    c, A, B carry the panel axis first and scale is (n, 15).  A panel's
+    sum is one GEMM over its (term, node) rows, flattened row-major; the
+    n GEMMs go through one stacked matmul.  Returns the two (n, p*m)
+    sums and a mask of the panels whose weighted factors and sums are
+    all finite; the sums are None when a weighted factor is not.
     """
+    n = c.shape[0]
     sums = []
     for nodes, w in ((slice(None), GK_WEIGHTS), (slice(1, None, 2), G7_WEIGHTS)):
-        a = A[:, nodes] * (c[:, nodes] * (scale[nodes] * w))[..., None]
-        b = B[:, nodes]
-        # checked on the Kronrod rows; the Gauss rows are a subset of them
-        if not sums and not (np.isfinite(a).all() and np.isfinite(b).all()):
-            return None
-        total = a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
-        sums.append(total.ravel())
-    if not all(np.isfinite(s).all() for s in sums):
-        return None
-    return sums
+        a = A[:, :, nodes] * (c[:, :, nodes] * (scale[:, nodes] * w)[:, None])[..., None]
+        b = B[:, :, nodes]
+        if not sums:
+            # checked on the Kronrod rows; the Gauss rows are a subset of them
+            ok = np.isfinite(a).all(axis=(1, 2, 3)) & np.isfinite(b).all(axis=(1, 2, 3))
+            if not ok.all():
+                return None, None, ok
+        a = a.reshape(n, -1, a.shape[-1]).transpose(0, 2, 1)
+        total = np.matmul(a, b.reshape(n, -1, b.shape[-1]))
+        sums.append(total.reshape(n, -1))
+    for s in sums:
+        ok &= np.isfinite(s).all(axis=1)
+    return sums[0], sums[1], ok
+
+
+def _non_finite(lam):
+    return ToleranceNotReachedError(
+        f"integrand is non-finite on panel [{lam[0]}, {lam[-1]}]"
+    )
 
 
 def _panel(seg, ua, ub):
@@ -155,36 +201,211 @@ def _panel(seg, ua, ub):
 
     seg.f returns either the integrand values (nodes first, any trailing
     shape) or a factored integrand (c, A, B) with value
-    sum_r c[r, n] * outer(A[r, n], B[r, n]) at node n, whose Kronrod and
+    sum_r c[r, k] * outer(A[r, k], B[r, k]) at node k, whose Kronrod and
     Gauss sums are then two small GEMMs and the (nodes x |A| |B|) array
-    never exists.
+    never exists.  A family integrand sees this panel as a batch of one.
     """
+    if seg.params is not None:
+        return _family_sums(seg.f, *_family_nodes([seg], [ua], [ub]), [seg.params])[0]
     mid = 0.5 * (ua + ub)
     half = 0.5 * (ub - ua)
     u = mid + half * GK_NODES
     lam, jac, dinfo = seg.map(u)
     fx = seg.f(lam) if dinfo is None else seg.f(lam, dinfo)
+    wts = half * GK_WEIGHTS * jac
     if isinstance(fx, tuple):
-        sums = _factored_sums(*fx, half * jac)
-        if sums is None:
-            raise ToleranceNotReachedError(
-                f"integrand is non-finite on panel [{lam[0]}, {lam[-1]}]"
-            )
-        ik, ig = sums
-        return ik, np.abs(ik - ig), lam, half * GK_WEIGHTS * jac
+        c, A, B = fx
+        ik, ig, ok = _factored_sums(c[None], A[None], B[None], (half * jac)[None])
+        if not ok[0]:
+            raise _non_finite(lam)
+        return ik[0], np.abs(ik[0] - ig[0]), lam, wts
+    return _dense_sums(fx, jac, half, lam) + (lam, wts)
+
+
+def _dense_sums(fx, jac, half, lam):
+    """GK15 value and GK15 - G7 error of one panel's values fx at lam."""
     fx = np.asarray(fx, dtype=complex)
     if not np.all(np.isfinite(fx.view(float))):
-        raise ToleranceNotReachedError(
-            f"integrand is non-finite on panel [{lam[0]}, {lam[-1]}]"
-        )
+        raise _non_finite(lam)
     if fx.ndim == 1:
         fx = fx * jac
     else:
         fx = fx * jac[:, None]
     ik = half * np.tensordot(GK_WEIGHTS, fx, axes=(0, 0))
     ig = half * np.tensordot(G7_WEIGHTS, fx[1::2], axes=(0, 0))
-    err = np.atleast_1d(np.abs(ik - ig))
-    return np.atleast_1d(ik), err, lam, half * GK_WEIGHTS * jac
+    return np.atleast_1d(ik), np.atleast_1d(np.abs(ik - ig))
+
+
+def _family_nodes(segs, ua, ub):
+    """(lam, jac, dinfo, half) of n panels, a row each, as ``Segment.map``.
+
+    Every row holds bitwise the nodes, jacobian and offset that the map
+    of its own segment gives.
+    """
+    ua = np.asarray(ua, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    mid = 0.5 * (ua + ub)
+    half = 0.5 * (ub - ua)
+    u = mid[:, None] + half[:, None] * GK_NODES
+    anchor = np.array([np.nan if s.anchor is None else s.anchor for s in segs])[:, None]
+    on = ~np.isnan(anchor)
+    if not on.any():
+        return u, np.ones_like(u), None, half
+    delta = np.maximum(u * u, _TINY)
+    right = [i for i, s in enumerate(segs) if s.sub == "right"]
+    delta[right] = -delta[right]
+    delta[~on[:, 0]] = 0.0
+    lam = np.where(on, anchor + delta, u)
+    jac = np.where(on, 2.0 * u, 1.0)
+    return lam, jac, (anchor, delta), half
+
+
+def _family_sums(f, lam, jac, dinfo, half, params):
+    """(val, err, nodes, wts) of n panels from one call of family integrand f.
+
+    A panel's values are bitwise those of ``_panel`` on it alone (the
+    same elementwise operations and one GEMM per panel), whatever panels
+    share the call; ``adaptive_family`` relies on that.
+    """
+    fx = f(lam, dinfo, params)
+    wts = half[:, None] * GK_WEIGHTS * jac
+    if isinstance(fx, tuple):
+        ik, ig, ok = _factored_sums(*fx, half[:, None] * jac)
+        if not ok.all():
+            raise _non_finite(lam[np.argmin(ok)])
+        err = np.abs(ik - ig)
+        return [(ik[i], err[i], lam[i], wts[i]) for i in range(len(params))]
+    return [
+        _dense_sums(fx[i], jac[i], half[i], lam[i]) + (lam[i], wts[i])
+        for i in range(len(params))
+    ]
+
+
+def _refine(segments, rtol, atol, max_panels, keep, collect_rule=False):
+    """Globally adaptive refinement of one integral, as a generator.
+
+    It yields the panels it needs evaluated, a list of (segment index,
+    ua, ub), is sent back their (val, err, nodes, wts) in that order, and
+    returns the QuadResult.  The panels are the initial ones of every
+    segment, then the two halves of the live panel with the largest
+    error relative to its component's target, one split per step.
+
+    With keep, every live panel's values are stored and the result sums
+    the live panels in sorted interval order.  Without, only the spans
+    are: a panel is evaluated again when a split or a heap rebuild needs
+    its value (the same call on the same panel returns the same bits, so
+    every choice is the same), and the result is the running sums, which
+    differ from the sorted sums by rounding alone.  An integral in
+    flight then holds a few hundred bytes per panel instead of 24 per
+    component.
+    """
+    spans = []  # (seg_idx, ua, ub) per panel; None once split
+    kept = []  # (val, err, nodes, wts) per panel, with keep
+    heap = []
+    run = {}  # val, err and abs: running sums over the live panels
+    denom = None  # frozen per-component error scale for refinement priority
+    eps100 = 100.0 * np.finfo(float).eps
+
+    def push(new, results):
+        for span, value in zip(new, results):
+            val, err = value[:2]
+            spans.append(span)
+            if keep:
+                kept.append(value)
+            if denom is not None:
+                prio = -float((err / denom).max())
+                heappush(heap, (prio, len(spans) - 1, len(spans) - 1))
+            if not run:
+                run.update(val=val.copy(), err=err.copy(), abs=np.abs(val))
+            else:
+                run["val"] += val
+                run["err"] += err
+                run["abs"] += np.abs(val)
+        return [r[1] for r in results]
+
+    def current_tol():
+        # each component converges relative to itself; the summation
+        # roundoff floor eps * sum|panel| is the best achievable once
+        # panel values cancel
+        t = np.maximum(rtol * np.abs(run["val"]), eps100 * run["abs"])
+        return np.maximum(t, max(atol, 1e-300))
+
+    def settled(tol_c):
+        if (run["err"] <= tol_c).all():
+            return True
+        if n_evals >= max_panels:
+            raise ToleranceNotReachedError(
+                f"quadrature did not reach rtol={rtol} within {max_panels} panels",
+                value=run["val"],
+                err=run["err"],
+            )
+        return False
+
+    def rebuild(live, errs):
+        heap.clear()
+        for i, err in zip(live, errs):
+            heappush(heap, (-float((err / denom).max()), i, i))
+
+    new = []
+    for si, seg in enumerate(segments):
+        ua, ub = seg.u_range()
+        n0 = max(1, int(seg.min_panels))
+        edges = np.linspace(ua, ub, n0 + 1)
+        new += [(si, edges[i], edges[i + 1]) for i in range(n0)]
+    errs = push(new, (yield new))
+    n_evals = len(new)
+    # refinement priority is error relative to each component's own
+    # convergence target; the snapshot is rebuilt whenever the running
+    # totals drift, otherwise coarse seed values misallocate the budget
+    denom = current_tol()
+    rebuild(range(len(spans)), errs)
+    del errs
+    while not settled(tol_c := current_tol()):
+        if np.maximum(denom / tol_c, tol_c / denom).max() > 8.0:
+            denom = tol_c
+            live = [i for i, s in enumerate(spans) if s is not None]
+            if keep:
+                rebuild(live, [kept[i][1] for i in live])
+            else:
+                rebuild(live, [r[1] for r in (yield [spans[i] for i in live])])
+        while heap:
+            _, _, idx = heappop(heap)
+            if spans[idx] is not None:
+                break
+        else:
+            break
+        si, ua, ub = spans[idx]
+        spans[idx] = None
+        um = 0.5 * (ua + ub)
+        new = [(si, ua, um), (si, um, ub)]
+        # a split panel's values leave the running sums; only live
+        # panels are ever read again
+        if keep:
+            old, kept[idx] = kept[idx], None
+            results = yield new
+        else:
+            old, *results = yield [(si, ua, ub)] + new
+        run["val"] -= old[0]
+        run["err"] -= old[1]
+        run["abs"] -= np.abs(old[0])
+        del old
+        push(new, results)
+        del results
+        n_evals += 2
+
+    live = [i for i, s in enumerate(spans) if s is not None]
+    live.sort(key=lambda i: spans[i][:2])
+    result = QuadResult(run["val"], run["err"], len(live), spans=[spans[i] for i in live])
+    if keep:
+        values = [kept[i] for i in live]
+        result.value = sum(v[0] for v in values)
+        result.err = sum(v[1] for v in values)
+        if collect_rule:
+            result.nodes = np.concatenate([v[2] for v in values])
+            result.weights = np.concatenate([v[3] for v in values])
+        else:
+            result.spans = None
+    return result
 
 
 def adaptive_segments(
@@ -197,101 +418,112 @@ def adaptive_segments(
     max(rtol*|V_c|, rtol*1e-3*max_c|V_c|, atol).  Panels are summed in
     sorted interval order so results are independent of refinement
     history and worker counts.  A split panel's entry is dropped: only
-    live panels are ever read again.
+    live panels are ever read again.  One integral, its panels evaluated
+    one ``_panel`` call at a time; ``adaptive_family`` runs many.
     """
-    panels = []  # (seg_idx, ua, ub, val, err, nodes, wts); None once split
-    heap = []
-    counter = 0
-    run_val = None
-    run_err = None
-    run_abs = None  # sum of |panel value| per component: roundoff floor
-    denom = None  # frozen per-component error scale for refinement priority
-
-    def push(si, ua, ub):
-        nonlocal counter, run_val, run_err, run_abs
-        seg = segments[si]
-        val, err, nodes, wts = _panel(seg, ua, ub)
-        panels.append((si, ua, ub, val, err, nodes, wts))
-        if denom is not None:
-            heappush(heap, (-float(np.max(err / denom)), counter, len(panels) - 1))
-        counter += 1
-        if run_val is None:
-            run_val = val.copy()
-            run_err = err.copy()
-            run_abs = np.abs(val)
-        else:
-            run_val += val
-            run_err += err
-            run_abs += np.abs(val)
-
-    for si, seg in enumerate(segments):
-        ua, ub = seg.u_range()
-        n0 = max(1, int(seg.min_panels))
-        edges = np.linspace(ua, ub, n0 + 1)
-        for i in range(n0):
-            push(si, edges[i], edges[i + 1])
-
-    eps100 = 100.0 * np.finfo(float).eps
-
-    def current_tol():
-        # each component converges relative to itself; the summation
-        # roundoff floor eps * sum|panel| is the best achievable once
-        # panel values cancel
-        t = np.maximum(rtol * np.abs(run_val), eps100 * run_abs)
-        return np.maximum(t, max(atol, 1e-300))
-
-    # refinement priority is error relative to each component's own
-    # convergence target; the snapshot is rebuilt whenever the running
-    # totals drift, otherwise coarse seed values misallocate the budget
-    def rebuild_heap():
-        heap.clear()
-        for i, p in enumerate(panels):
-            if p is not None:
-                heappush(heap, (-float(np.max(p[4] / denom)), i, i))
-
-    denom = current_tol()
-    rebuild_heap()
-
-    n_evals = len(panels)
+    run = _refine(segments, rtol, atol, max_panels, True, collect_rule)
+    request = next(run)
     while True:
-        tol_c = current_tol()
-        if np.all(run_err <= tol_c):
-            break
-        if n_evals >= max_panels:
-            raise ToleranceNotReachedError(
-                f"quadrature did not reach rtol={rtol} within {max_panels} panels",
-                value=run_val,
-                err=run_err,
-            )
-        drift = np.max(np.maximum(denom / tol_c, tol_c / denom))
-        if drift > 8.0:
-            denom = tol_c
-            rebuild_heap()
-        while heap:
-            _, _, idx = heappop(heap)
-            if panels[idx] is not None:
-                break
-        else:
-            break
-        si, ua, ub, val, err, _, _ = panels[idx]
-        panels[idx] = None
-        run_val -= val
-        run_err -= err
-        run_abs -= np.abs(val)
-        um = 0.5 * (ua + ub)
-        push(si, ua, um)
-        push(si, um, ub)
-        n_evals += 2
+        values = [_panel(segments[si], ua, ub) for si, ua, ub in request]
+        try:
+            request = run.send(values)
+        except StopIteration as done:
+            return done.value
 
-    live = sorted((p for p in panels if p is not None), key=lambda p: (p[0], p[1]))
-    value = sum(p[3] for p in live)
-    err = sum(p[4] for p in live)
-    result = QuadResult(value, err, len(live))
-    if collect_rule:
-        result.nodes = np.concatenate([p[5] for p in live])
-        result.weights = np.concatenate([p[6] for p in live])
-        result.spans = [(p[0], p[1], p[2]) for p in live]
-    return result
+
+def adaptive_family(members, rtol, *, max_panels=6000):
+    """``adaptive_segments`` over many integrals, run in lockstep.
+
+    members holds one (segments, atol) pair per integral; the generator
+    yields (index, QuadResult) as the integrals finish.  Each integral
+    refines on its own and makes exactly the choices
+    ``adaptive_segments`` makes for it: its panels, n_panels and spans
+    (in sorted order) are the same.  Its value and err are the running
+    sums of ``_refine`` without keep, so they differ from the sorted
+    sums of ``adaptive_segments`` by rounding alone.
+
+    Every segment carries a family integrand (``Segment.params`` set).
+    Up to ``_LIVE_INTEGRALS`` integrals are in flight, started in list
+    order as others finish.  A round evaluates the panels they ask for
+    together: the panels of one family integrand go to it in calls of at
+    most ``_PANEL_CHUNK`` panels, taken in integral order, after its
+    ``prepare`` hook has seen all of them.  An integral takes its values
+    as soon as they are all there.  An integral that fails raises at
+    once.
+    """
+    runs = {}
+    requests = {}
+    finished = []
+    waiting = iter(enumerate(members))
+
+    def take(i, values):
+        try:
+            requests[i] = runs[i].send(values)
+        except StopIteration as done:
+            finished.append((i, done.value))
+            del requests[i], runs[i]
+
+    while True:
+        for i, (segs, atol) in itertools.islice(waiting, _LIVE_INTEGRALS - len(runs)):
+            runs[i] = _refine(segs, rtol, atol, max_panels, False)
+            requests[i] = next(runs[i])
+        if not requests:
+            return
+        panels = [
+            (i, members[i][0][si], ua, ub)
+            for i, req in requests.items()
+            for si, ua, ub in req
+        ]
+        values = {i: [] for i in requests}
+        missing = {i: len(req) for i, req in requests.items()}
+        # the nodes of every panel of a family integrand, then its hook
+        queues = {}
+        for k, (i, seg, ua, ub) in enumerate(panels):
+            queues.setdefault(seg.f, []).append(k)
+        nodes = {}
+        rows = {}
+        for f, ks in queues.items():
+            segs = [panels[k][1] for k in ks]
+            params = [seg.params for seg in segs]
+            lam, jac, dinfo, half = _family_nodes(
+                segs, [panels[k][2] for k in ks], [panels[k][3] for k in ks]
+            )
+            prepare = getattr(f, "prepare", None)
+            if prepare is not None:
+                prepare(lam, dinfo, params)
+            nodes[f] = (lam, jac, dinfo, half, params)
+            rows.update((k, r) for r, k in enumerate(ks))
+            ks.clear()
+
+        def flush(f):
+            lam, jac, dinfo, half, params = nodes[f]
+            r = [rows[k] for k in queues[f]]
+            d = None if dinfo is None else (dinfo[0][r], dinfo[1][r])
+            out = _family_sums(f, lam[r], jac[r], d, half[r], [params[x] for x in r])
+            for k, value in zip(queues[f], out):
+                store(k, value)
+            queues[f].clear()
+
+        def store(k, value):
+            i = panels[k][0]
+            values[i].append((k, value))
+            missing[i] -= 1
+            if not missing[i]:
+                take(i, [v for _, v in sorted(values.pop(i), key=lambda kv: kv[0])])
+
+        for k, (i, seg, ua, ub) in enumerate(panels):
+            queues[seg.f].append(k)
+            if len(queues[seg.f]) == _PANEL_CHUNK:
+                # every queue at once, so that no integral waits long on a
+                # part of its panels while holding the rest
+                for f in queues:
+                    if queues[f]:
+                        flush(f)
+        for f in queues:
+            if queues[f]:
+                flush(f)
+        yield from finished
+        finished.clear()
 
 
 @dataclass(frozen=True)
@@ -395,7 +627,7 @@ def _exp_factor_full(medium, cid, alpha, beta, X):
     return g
 
 
-def _build_segments(f, lo, hi, branch_pts, osc, min_extra=0):
+def _build_segments(f, lo, hi, branch_pts, osc, min_extra=0, params=None):
     """Split [lo, hi] at branch points, with sqrt panels on both sides."""
     pts = sorted({lo, hi} | {b for b in branch_pts if lo < b < hi})
     segments = []
@@ -406,14 +638,14 @@ def _build_segments(f, lo, hi, branch_pts, osc, min_extra=0):
         n0 = 1 + period_panels + min_extra
         if a_branch and b_branch:
             m = 0.5 * (a + b)
-            segments.append(Segment(f, a, m, "left", n0))
-            segments.append(Segment(f, m, b, "right", n0))
+            segments.append(Segment(f, a, m, "left", n0, params))
+            segments.append(Segment(f, m, b, "right", n0, params))
         elif a_branch:
-            segments.append(Segment(f, a, b, "left", n0))
+            segments.append(Segment(f, a, b, "left", n0, params))
         elif b_branch:
-            segments.append(Segment(f, a, b, "right", n0))
+            segments.append(Segment(f, a, b, "right", n0, params))
         else:
-            segments.append(Segment(f, a, b, "none", n0))
+            segments.append(Segment(f, a, b, "none", n0, params))
     return segments
 
 
@@ -843,8 +1075,10 @@ class SigmaMemo:
     ``memo(lam, dinfo)`` returns ``sigma_component_batch(medium, lam, cid,
     dinfo=dinfo)``.  It is keyed on the exact bytes of lam and, on
     anchored panels, of the dinfo offset, so a repeat returns bitwise what
-    a new solve would.  The memo lives as long as its owner (a frozen-rule
-    build, an FMM reaction pass) and nothing keeps it beyond that.
+    a new solve would.  ``memo.rows`` does the same for the panels of one
+    family integrand call.  The memo lives as long as its owner (a
+    frozen-rule build, an FMM reaction pass) and nothing keeps it beyond
+    that.
     """
 
     def __init__(self, medium, cid):
@@ -853,18 +1087,77 @@ class SigmaMemo:
         self._values = {}
 
     def __call__(self, lam, dinfo=None):
-        key = (lam.dtype.char, lam.tobytes())
-        if dinfo is not None:
-            key += (dinfo[0], dinfo[1].tobytes())
-        value = self._values.get(key)
-        if value is None:
-            # a copy: the solve returns a strided view of every component
-            value = sigma_component_batch(
-                self.medium, lam, self.cid, dinfo=dinfo
-            ).copy()
+        anchor = None if dinfo is None else dinfo[0]
+        key = self._key(lam, anchor, None if dinfo is None else dinfo[1])
+        if key not in self._values:
+            rows = None if dinfo is None else (anchor, dinfo[1][None])
+            self._solve(lam[None], rows, [anchor], [(key, 0)])
+        return self._values[key]
+
+    @staticmethod
+    def _key(row, anchor, delta):
+        key = (row.dtype.char, row.tobytes())
+        if anchor is not None:
+            key += (anchor, delta.tobytes())
+        return key
+
+    def rows(self, lam, dinfo=None):
+        """sigma at the node arrays lam[i] of n panels, an (n, nodes) array.
+
+        dinfo is None or (anchor, delta) with delta (n, nodes) and anchor
+        one value for every row or an (n, 1) array, NaN on rows without
+        an anchor.  Each row is looked up on its own key.
+        """
+        keys = self.fill(lam, dinfo)
+        return np.array([self._values[key] for key in keys])
+
+    def fill(self, lam, dinfo=None):
+        """Solve and keep the rows of lam not stored yet; returns the keys.
+
+        The missing rows go to ``sigma_component_batch`` in calls of at
+        most ``_SOLVE_ROWS`` rows (bounding the solve's temporaries), a
+        row that repeats among them once.  A call gets one anchor, or a
+        tuple of per-node anchors when its rows have several.
+        """
+        n = lam.shape[0]
+        if dinfo is None:
+            anchors = [None] * n
+        elif np.ndim(dinfo[0]) == 0:
+            anchors = [dinfo[0]] * n
+        else:
+            anchors = [None if a != a else a for a in dinfo[0][:, 0].tolist()]
+        keys = []
+        misses = {}
+        for i, row in enumerate(lam):
+            delta = None if anchors[i] is None else dinfo[1][i]
+            key = self._key(row, anchors[i], delta)
+            keys.append(key)
+            if key not in self._values:
+                misses.setdefault(key, i)
+        misses = list(misses.items())
+        for i0 in range(0, len(misses), _SOLVE_ROWS):
+            self._solve(lam, dinfo, anchors, misses[i0 : i0 + _SOLVE_ROWS])
+        return keys
+
+    def _solve(self, lam, dinfo, anchors, misses):
+        first = [i for _, i in misses]
+        own = {anchors[i] for i in first}
+        if own == {None}:
+            sub = None
+        else:
+            delta = dinfo[1][first].ravel()
+            if len(own) == 1:
+                sub = (own.pop(), delta)
+            else:
+                per_node = [math.nan if anchors[i] is None else anchors[i] for i in first]
+                sub = (tuple(np.repeat(per_node, lam.shape[1]).tolist()), delta)
+        solved = sigma_component_batch(
+            self.medium, lam[first].ravel(), self.cid, dinfo=sub
+        ).reshape(len(first), -1)
+        for (key, _), value in zip(misses, solved):
+            value = value.copy()
             value.flags.writeable = False
             self._values[key] = value
-        return value
 
 
 # ---------------------------------------------------------------------------

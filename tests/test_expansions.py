@@ -644,3 +644,93 @@ class TestFactoredPowerFamily:
                 TWO_LAYER, UPUP, 0.4, 0.7, 0.0, [0], [0], SPEC,
                 SigmaMemo(TWO_LAYER, UNEQUAL),
             )
+
+
+def _m2l_pairs(cid):
+    """(local center, source center) pairs like an FMM pass's: X = 0 and
+    the mirrored offsets X = +-0.8."""
+    d_t = 0.0
+    tau_t, tau_s = cid.dir_t.tau, cid.dir_s.tau
+    y_l = d_t + tau_t * 0.35
+    y_s = d_t + tau_s * 0.55
+    return [((0.4, y_l), (0.4 - X, y_s)) for X in (0.0, 0.8, -0.8)]
+
+
+TWO_LAYER_CIDS = [
+    ReactionComponentId(0, 0, Dir.UP, Dir.UP),
+    ReactionComponentId(0, 1, Dir.UP, Dir.DOWN),
+    ReactionComponentId(1, 0, Dir.DOWN, Dir.UP),
+    ReactionComponentId(1, 1, Dir.DOWN, Dir.DOWN),
+]
+
+
+def _record(monkeypatch, name):
+    runs = []
+    fn = getattr(expansions, name)
+
+    def recording(*a, **kw):
+        out = fn(*a, **kw)
+        if name == "adaptive_family":  # (index, result) as integrals finish
+            out = [r for _, r in sorted(out, key=lambda ir: ir[0])]
+            runs.extend(out)
+            return enumerate(out)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(expansions, name, recording)
+    return runs
+
+
+def _solved_rows(monkeypatch):
+    """(node array, anchor, offset) of every row any sigma solve gets."""
+    rows = []
+    solve = quadrature.sigma_component_batch
+
+    def counting(medium, lams, cid, **kwargs):
+        dinfo = kwargs.get("dinfo")
+        for r in range(0, len(lams), 15):
+            key = (cid, lams.dtype.char, lams[r : r + 15].tobytes())
+            if dinfo is not None:
+                anchor = dinfo[0] if np.ndim(dinfo[0]) == 0 else dinfo[0][r]
+                if anchor == anchor:
+                    key += (anchor, dinfo[1][r : r + 15].tobytes())
+            rows.append(key)
+        return solve(medium, lams, cid, **kwargs)
+
+    monkeypatch.setattr(quadrature, "sigma_component_batch", counting)
+    return rows
+
+
+class TestM2LFamily:
+    def test_family_matches_one_matrix_builds(self, monkeypatch):
+        P = 17
+        solo_runs = _record(monkeypatch, "adaptive_segments")
+        family_runs = _record(monkeypatch, "adaptive_family")
+        solo_rows = []
+        family_rows = []
+        for cid in TWO_LAYER_CIDS:
+            pairs = _m2l_pairs(cid)
+            with monkeypatch.context() as m:
+                rows = _solved_rows(m)
+                memo = SigmaMemo(TWO_LAYER, cid)
+                solo = [m2l(TWO_LAYER, cid, xl, xc, P, P, M2L_SPEC, sigma=memo).matrix
+                        for xl, xc in pairs]
+                solo_rows += rows
+            with monkeypatch.context() as m:
+                rows = _solved_rows(m)
+                family = expansions.m2l_family(
+                    TWO_LAYER, cid, pairs, P, P, M2L_SPEC, SigmaMemo(TWO_LAYER, cid)
+                )
+                family_rows += rows
+            for got, want in zip(family, solo):
+                assert got.shape == want.shape == (2 * P - 1, 2 * P - 1)
+                # a family matrix is the running sum of its panels
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # the same panels, matrix by matrix
+        assert len(family_runs) == len(solo_runs) == 12
+        for fam, ref in zip(family_runs, solo_runs):
+            assert fam.n_panels == ref.n_panels
+        # a shared memo solves each distinct node array once, family or not
+        assert len(set(family_rows)) == len(family_rows)
+        assert set(family_rows) == set(solo_rows)
+        assert len(family_rows) == len(solo_rows)

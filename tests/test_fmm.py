@@ -537,3 +537,45 @@ class TestScalingHelpers:
         n = np.array([500, 1000, 2000, 4000])
         t = 1e-4 * n ** 1.1
         assert fitted_scaling_exponent(n, t) == pytest.approx(1.1, abs=1e-6)
+
+
+class TestLockstepM2L:
+    def test_family_calls_stay_within_the_chunk(self, monkeypatch):
+        # every family integrand call of a pass's M2L build gets at most
+        # _PANEL_CHUNK panels, so its temporaries stay bounded however
+        # many matrices the pass builds
+        nodes = []
+        sums = quadrature._family_sums
+
+        def counting(f, lam, *args):
+            nodes.append(lam.size)
+            return sums(f, lam, *args)
+
+        monkeypatch.setattr(quadrature, "_family_sums", counting)
+        rng = np.random.default_rng(76)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
+        evaluate_all(TWO_LAYER, src, tgt, FmmConfig(eps=1e-6, leaf_size=10))
+        assert max(nodes) == quadrature._PANEL_CHUNK * 15
+
+    def test_each_pass_lists_each_level_once(self, monkeypatch):
+        levels = []
+        calls = []
+        tree, lists = fmm.QuadTree, fmm.interaction_lists
+
+        class Tree(tree):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                levels.append(self.level)
+
+        def counting(*args):
+            calls.append(1)
+            return lists(*args)
+
+        monkeypatch.setattr(fmm, "QuadTree", Tree)
+        monkeypatch.setattr(fmm, "interaction_lists", counting)
+        rng = np.random.default_rng(77)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
+        evaluate_all(TWO_LAYER, src, tgt, FmmConfig(eps=1e-6, leaf_size=10))
+        # four reaction passes and two free-space passes, levels 2..L each
+        assert len(levels) == 6
+        assert len(calls) == sum(level - 1 for level in levels)

@@ -34,6 +34,7 @@ from helmlayer.quadrature import (
     FrozenComponentRule,
 )
 from helmlayer.sigma import PoleInfo
+from helmlayer.special import hsq
 
 SOFT = sound_soft_halfspace(1.0)
 HOMOG = acoustic((0.0,), (1.0, 1.0))
@@ -439,3 +440,114 @@ class TestFactoredIntegrand:
 
         with pytest.raises(ToleranceNotReachedError):
             adaptive_segments([Segment(big, 0.0, 1.0)], 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# lockstep family of adaptive integrals
+# ---------------------------------------------------------------------------
+
+
+def _dense_family(lam, dinfo, params):
+    """Two components with a per-panel decay a and frequency b."""
+    a, b = np.array(params).T[:, :, None]
+    return np.stack(
+        [np.exp(-a * lam) * np.cos(b * lam) + 0j, 1.0 / (1.0 + a * lam * lam) + 0j],
+        axis=-1,
+    )
+
+
+def _anchored_family(lam, dinfo, params):
+    """An inverse-sqrt singularity at lambda = 1, rebuilt from dinfo."""
+    a = np.array(params)[:, :1]
+    return np.exp(-a * lam) / np.sqrt(np.abs(hsq(lam, 1.0, dinfo))) + 0j
+
+
+def _factored_family(lam, dinfo, params):
+    """Two terms of c * outer(A, B); c carries a per-panel decay."""
+    s = np.array(params)[:, :1]
+    p = np.arange(-3, 4)
+    m = np.arange(-2, 3)
+    c = np.stack([np.exp(-s * lam) * np.cos(3 * lam), np.exp(-2 * lam) + 0j], axis=1)
+    A = np.stack(
+        [np.exp(1j * lam[..., None] * p), (1 + lam[..., None]) * p + 0j], axis=1
+    )
+    B = np.stack(
+        [np.cos(lam)[..., None] * m + 1j, np.exp(-lam[..., None] * m**2) + 0j], axis=1
+    )
+    return c, A, B
+
+
+def _family_members(f, params, layout):
+    return [
+        ([Segment(f, a, b, sub, n0, p) for a, b, sub, n0 in layout], 0.0)
+        for p in params
+    ]
+
+
+DENSE_LAYOUT = [(0.0, 2.0, "none", 2), (2.0, 9.0, "none", 3)]
+ANCHORED_LAYOUT = [(0.0, 1.0, "right", 2), (1.0, 2.0, "left", 2), (2.0, 8.0, "none", 2)]
+
+
+class TestAdaptiveFamily:
+    @pytest.mark.parametrize(
+        "f, params, layout",
+        [
+            (_dense_family, [(0.5, 1.0), (2.0, 7.0), (1.0, 15.0), (0.3, 0.0)], DENSE_LAYOUT),
+            (_anchored_family, [(0.2,), (1.0,), (3.0,)], ANCHORED_LAYOUT),
+            (_factored_family, [(0.5,), (4.0,), (1.5,)], DENSE_LAYOUT),
+        ],
+        ids=["dense", "anchored", "factored"],
+    )
+    def test_members_take_their_own_panels(self, monkeypatch, f, params, layout):
+        # the family refines each member exactly as a run of its own; the
+        # small chunk puts several members' panels in one integrand call
+        monkeypatch.setattr(quadrature, "_PANEL_CHUNK", 3)
+        members = _family_members(f, params, layout)
+        family = dict(quadrature.adaptive_family(members, 1e-10))
+        family = [family[i] for i in range(len(members))]
+        solo = [
+            adaptive_segments(segs, 1e-10, atol=atol, collect_rule=True)
+            for segs, atol in members
+        ]
+        # members that converge in different numbers of rounds
+        assert len({r.n_panels for r in solo}) > 1
+        for fam, ref in zip(family, solo):
+            assert fam.n_panels == ref.n_panels
+            assert fam.spans == ref.spans
+            # running sums against sorted sums: rounding alone
+            scale = np.max(np.abs(ref.value))
+            assert np.max(np.abs(fam.value - ref.value)) <= 1e-15 * scale
+            assert np.max(np.abs(fam.err - ref.err)) <= 1e-15 * max(np.max(ref.err), scale)
+
+    def test_batched_panels_are_bitwise_single_panels(self):
+        # the property every identical choice rests on
+        segs = [
+            Segment(_anchored_family, a, b, sub, 1, p)
+            for (a, b, sub, _), p in zip(ANCHORED_LAYOUT * 2, [(0.2,), (1.0,)] * 3)
+        ]
+        ua = [0.1, 0.2, 0.3, 0.0, 0.5, 2.5]
+        ub = [0.6, 0.9, 4.0, 0.4, 0.8, 7.0]
+        batch = quadrature._family_sums(
+            _anchored_family,
+            *quadrature._family_nodes(segs, ua, ub),
+            [s.params for s in segs],
+        )
+        for seg, a, b, got in zip(segs, ua, ub, batch):
+            want = quadrature._panel(seg, a, b)
+            u = 0.5 * (a + b) + 0.5 * (b - a) * quadrature.GK_NODES
+            lam, jac, _ = seg.map(u)
+            assert np.array_equal(want[2], lam)
+            assert np.array_equal(want[3], 0.5 * (b - a) * quadrature.GK_WEIGHTS * jac)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_member_out_of_budget_raises_as_alone(self):
+        # a member that cannot converge within max_panels raises with the
+        # running totals of its own run, bitwise
+        members = _family_members(_dense_family, [(0.5, 1.0), (0.1, 60.0)], DENSE_LAYOUT)
+        with pytest.raises(ToleranceNotReachedError) as alone:
+            adaptive_segments(members[1][0], 1e-13, max_panels=20)
+        with pytest.raises(ToleranceNotReachedError) as family:
+            dict(quadrature.adaptive_family(members, 1e-13, max_panels=20))
+        assert np.array_equal(family.value.value, alone.value.value)
+        assert np.array_equal(family.value.err, alone.value.err)

@@ -18,16 +18,20 @@ the polarization image of the source object, never the plain Euclidean
 distance; the rate-measurement helpers at the bottom exist to check that
 claim numerically.
 
-All spectral integrals for the order-indexed families share one sigma
-solve per quadrature node: the integrand factors into sigma * E times
-powers of two per-node values (-i w_s) and (i / w_t), and both signs of
-the symmetrized half-line integrand use the same solve.  The quadrature
-takes that factored form as it is, so a panel of an M2L matrix is two
-small GEMMs instead of a (nodes x orders^2) array.  The M2L matrices of
-an FMM pass are built in lockstep (``m2l_family``): the geometry and
-contour map are per-panel arrays, so one integrand call evaluates a
-chunk of panels of many matrices, their GEMMs go through one stacked
-matmul, and a round of refinement solves sigma once for all of them.
+The expansion functions, the LE coefficients and the M2L matrices are
+one integral family, built by one routine (``_power_family``) that
+differs between them only in the order axes and the geometries.  Its
+integrals share one sigma solve per quadrature node: the integrand
+factors into sigma * E times powers of two per-node values (-i w_s) and
+(i / w_t), and both signs of the symmetrized half-line integrand use the
+same solve.  The quadrature takes that factored form as it is, so a
+panel of an M2L matrix is two small GEMMs instead of a (nodes x
+orders^2) array.  Every geometry of a call is integrated in lockstep:
+the geometry and contour map are per-panel arrays, so one integrand
+call evaluates a chunk of panels of many integrals (all the M2L
+matrices of an FMM pass, all the sources of ``le_coeffs_direct``),
+their GEMMs go through one stacked matmul, and the chunk's new node
+arrays go to one sigma solve.
 """
 
 import math
@@ -46,7 +50,6 @@ from .quadrature import (
     Segment,
     SigmaMemo,
     adaptive_family,
-    adaptive_segments,
     _build_segments,
     component_abs_floor,
     tail_cutoff,
@@ -196,74 +199,41 @@ def _power_table(z, z_inv, nmax):
     return t
 
 
-def _power_family(
-    medium, cid, alpha, beta, X, p_orders, m_orders, spec, sigma=None
-):
-    """Integrals of sigma * E * (-i w_s)^p (i/w_t)^m for all orders at once.
-
-    At a node the integrand is the scalar c = sigma * E times the outer
-    product of the rows (-i w_s)^p and (i/w_t)^m, so it is handed to the
-    quadrature in factored form (c, A, B) and each panel's sums are two
-    small GEMMs.  The powers come from cumulative products of per-node
-    tables.  The bounded part runs on the half line with the symmetrized
-    plane-wave factor (sigma is even): the reflected sign reuses the same
-    sigma, h and w at the node, and because (-i w)^(-n) = (i/w)^n its
-    rows are the same tables read at negated orders, stacked as a second
-    term.  sigma comes from ``sigma``, a ``SigmaMemo`` of this component
-    (a fresh one when None): an FMM pass shares one across its matrices,
-    so a node array is solved once per pass.  The evanescent tails are
-    taken along the Cagniard--de Hoop hyperbola whenever X != 0: on the
-    real axis the high-order integrand peaks exponentially above the
-    integral (the cos(lam X) oscillation cancels it back down), while on
-    the deformed contour it decays pointwise like the result, so no
-    relative accuracy is lost to cancellation.
-
-    The integrands are family integrands (see ``Segment``): alpha, beta,
-    X, the sign of each term and the contour map (real axis with sqrt
-    substitution, CdH segment, hyperbola) are per-panel arrays, so
-    ``_power_families`` evaluates a round of panels of many geometries
-    in one call.  Here the one geometry's panels go one by one through
-    ``adaptive_segments``.
-    """
-    (segs, atol), = _power_members(
-        medium, cid, [(alpha, beta, X)], p_orders, m_orders, spec, sigma
-    )
-    res = adaptive_segments(
-        segs, spec.rtol, atol=atol, max_panels=_power_budget(spec, p_orders, m_orders)
-    )
-    return res.value.reshape(len(p_orders), len(m_orders)).T
-
-
-def _power_families(medium, cid, geometries, p_orders, m_orders, spec, sigma=None):
-    """``_power_family`` at many (alpha, beta, X), as one lockstep family.
-
-    The integrals refine independently, with the panels ``_power_family``
-    takes for each geometry, and a round evaluates the new panels of all
-    of them together.  A matrix is the running sum of its panels, which
-    differs from the sorted sum ``_power_family`` returns by rounding
-    alone (see ``adaptive_family``).
-    """
-    members = _power_members(medium, cid, geometries, p_orders, m_orders, spec, sigma)
-    out = [None] * len(members)
-    budget = _power_budget(spec, p_orders, m_orders)
-    for i, res in adaptive_family(members, spec.rtol, max_panels=budget):
-        out[i] = res.value.reshape(len(p_orders), len(m_orders)).T
-    return out
-
-
-def _power_budget(spec, p_orders, m_orders):
-    # the refinement budget competes across all order components
-    return spec.max_panels + 150 * (len(p_orders) + len(m_orders))
-
-
 def _real_if_real(lam):
     if not np.isrealobj(lam) and np.all(lam.imag == 0.0):
         return lam.real.copy()
     return lam
 
 
-def _power_members(medium, cid, geometries, p_orders, m_orders, spec, sigma):
-    """(segments, atol) of the ``_power_family`` integral of each geometry."""
+def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None):
+    """Integrals of sigma * E * (-i w_s)^p (i/w_t)^m for all orders at once.
+
+    One (len(m_orders), len(p_orders)) matrix per (alpha, beta, X) of
+    geometries.  At a node the integrand is the scalar c = sigma * E
+    times the outer product of the rows (-i w_s)^p and (i/w_t)^m, so it
+    is handed to the quadrature in factored form (c, A, B) and each
+    panel's sums are two small GEMMs.  The powers come from cumulative
+    products of per-node tables.  The bounded part runs on the half line
+    with the symmetrized plane-wave factor (sigma is even): the reflected
+    sign reuses the same sigma, h and w at the node, and because
+    (-i w)^(-n) = (i/w)^n its rows are the same tables read at negated
+    orders, stacked as a second term.  sigma comes from ``sigma``, a
+    ``SigmaMemo`` of this component (a fresh one when None): an FMM pass
+    shares one across its matrices, so a node array is solved once per
+    pass.  The evanescent tails are taken along the Cagniard--de Hoop
+    hyperbola whenever X != 0: on the real axis the high-order integrand
+    peaks exponentially above the integral (the cos(lam X) oscillation
+    cancels it back down), while on the deformed contour it decays
+    pointwise like the result, so no relative accuracy is lost to
+    cancellation.
+
+    The integrals run as one lockstep family (``adaptive_family``): each
+    refines on its own, and alpha, beta, X, the sign of each term and
+    the contour map (real axis with sqrt substitution, CdH segment,
+    hyperbola) are per-panel arrays, so one integrand call evaluates a
+    chunk of panels of many geometries and solves the chunk's new sigma
+    rows in one go.  A matrix is the running sum of its panels.
+    """
     if sigma is None:
         sigma = SigmaMemo(medium, cid)
     elif sigma.medium is not medium or sigma.cid != cid:
@@ -354,12 +324,6 @@ def _power_members(medium, cid, geometries, p_orders, m_orders, spec, sigma):
         c, A, B = factors(lam, None, par[:, 3:4].real.astype(int), par)
         return c * jac[:, None], A, B
 
-    # a round's misses of sigma are solved in one call per piece
-    f_sym.prepare = lambda lam, dinfo, params: sigma.fill(lam, dinfo)
-    f_cdh.prepare = lambda u, dinfo, params: sigma.fill(
-        _real_if_real(cdh_map(u, np.array(params, dtype=complex))[0])
-    )
-
     branch = sorted(set(medium.wavenumbers))
     members = []
     for alpha, beta, X in geometries:
@@ -396,7 +360,12 @@ def _power_members(medium, cid, geometries, p_orders, m_orders, spec, sigma):
                     params=geo + (sign, 1, math.cos(b_ang), math.sin(b_ang)),
                 )
         members.append((segs, component_abs_floor(spec.rtol, H)))
-    return members
+    out = [None] * len(members)
+    # the refinement budget competes across all order components
+    budget = spec.max_panels + 150 * (len(p_orders) + len(m_orders))
+    for i, res in adaptive_family(members, spec.rtol, max_panels=budget):
+        out[i] = res.value.reshape(len(p_orders), len(m_orders)).T
+    return out
 
 
 def _check_pole_free(medium, spec):
@@ -413,8 +382,8 @@ def me_expansion_functions(medium, cid, x, x_c, P, spec=None):
     """I_p(x, x_c) for all |p| < P (shared sigma samples across orders)."""
     spec = spec or ContourSpec()
     _check_pole_free(medium, spec)
-    alpha, beta, X = component_geometry_centers(medium, cid, x, x_c)
-    return _power_family(medium, cid, alpha, beta, X, _orders(P), [0], spec)[0]
+    geometry = component_geometry_centers(medium, cid, x, x_c)
+    return _power_family(medium, cid, [geometry], _orders(P), [0], spec)[0][0]
 
 
 def component_geometry_centers(medium, cid, x1, x2):
@@ -445,24 +414,24 @@ def me_eval(medium, me, x, spec=None, c0=2.0):
 
 
 def le_coeffs_direct(medium, cid, x_c_l, sources, strengths, M, spec=None):
-    """L_m computed source by source (the direct, translation-free route)."""
+    """L_m as the sum of every source's own L_m (the direct,
+    translation-free route); the sources' integrals run as one family."""
     spec = spec or ContourSpec()
     _check_pole_free(medium, spec)
     cid.validate(medium.n_interfaces)
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     k_t = medium.wavenumbers[cid.t]
-    k_s = medium.wavenumbers[cid.s]
     tau_t = cid.dir_t.tau
     if not tau_t * (x_c_l[1] - d_t) > 0:
         raise DomainError("local center is on the wrong side of its interface")
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     strengths = np.atleast_1d(np.asarray(strengths, dtype=complex))
+    geometries = [component_geometry_centers(medium, cid, x_c_l, xy) for xy in sources]
+    lms = _power_family(medium, cid, geometries, [0], _orders(M), spec)
     total = np.zeros(2 * M - 1, dtype=complex)
     reach = math.inf
-    for xy, q in zip(sources, strengths):
-        alpha, beta, X = component_geometry_centers(medium, cid, x_c_l, xy)
-        lm = _power_family(medium, cid, alpha, beta, X, [0], _orders(M), spec)[:, 0]
-        total += q * lm
+    for xy, q, lm in zip(sources, strengths, lms):
+        total += q * lm[:, 0]
         reach = min(
             reach, polarized_distance(medium, PolarizedPair(tuple(x_c_l), tuple(xy), cid))
         )
@@ -491,20 +460,16 @@ def m2l(
 ):
     """Translation matrix A_mp from a source center to a local center.
 
-    sigma: an optional ``SigmaMemo`` of (medium, cid) shared with other
-    builds; it changes how often sigma is solved, never the matrix.
+    The matrix is ``m2l_family`` of the one pair, after the far-field
+    check.  sigma: an optional ``SigmaMemo`` of (medium, cid) shared with
+    other builds; it changes how often sigma is solved, never the matrix.
     """
-    spec = spec or ContourSpec()
-    _check_pole_free(medium, spec)
     D = polarized_distance(medium, PolarizedPair(tuple(x_c_l), tuple(x_c), cid))
     if source_radius is not None and not D > c0 * source_radius:
         raise FarFieldError(
             f"centers at polarized distance {D:.3g} violate D > c0*radius"
         )
-    alpha, beta, X = component_geometry_centers(medium, cid, x_c_l, x_c)
-    A = _power_family(
-        medium, cid, alpha, beta, X, _orders(P), _orders(M), spec, sigma
-    )
+    (A,) = m2l_family(medium, cid, [(x_c_l, x_c)], M, P, spec, sigma)
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     return TranslationMatrix(
         cid, tuple(x_c), tuple(x_c_l), A, D, medium.wavenumbers[cid.t], d_t
@@ -515,21 +480,19 @@ def m2l_family(medium, cid, centers, M, P, spec=None, sigma=None):
     """M2L matrices A_mp for many (local center, source center) pairs.
 
     All pairs belong to one component and one spec, and their
-    quadratures run as one lockstep family (``_power_families``): a
-    round of panels of every matrix costs one integrand call per chunk
-    of panels and one sigma solve.  Matrix i takes the panels of
-    ``m2l(medium, cid, *centers[i], M, P, spec, sigma=sigma).matrix``
-    and differs from it by rounding alone.  sigma, as there, changes how
-    often sigma is solved, never a matrix.
+    quadratures run as one lockstep family (``_power_family``): each
+    matrix refines on its own, with the panels it would take alone, so
+    matrix i is bitwise the matrix of ``m2l(medium, cid, *centers[i], M,
+    P, spec)``, while a chunk of panels of many matrices costs one
+    integrand call and one sigma solve for its new node arrays.  sigma,
+    as in ``m2l``, changes how often sigma is solved, never a matrix.
     """
     spec = spec or ContourSpec()
     _check_pole_free(medium, spec)
     geometries = [
         component_geometry_centers(medium, cid, x_c_l, x_c) for x_c_l, x_c in centers
     ]
-    return _power_families(
-        medium, cid, geometries, _orders(P), _orders(M), spec, sigma
-    )
+    return _power_family(medium, cid, geometries, _orders(P), _orders(M), spec, sigma)
 
 
 def m2l_apply(tm, me):

@@ -25,12 +25,11 @@ and builds every matrix it lacks in one lockstep family
 (``expansions.m2l_family``): the quadratures refine independently, with
 the panels a build of their own takes, while each round evaluates the
 new panels of all of them in chunked integrand calls.  They share a
-``SigmaMemo``: a round solves the interface system in one go for the
-node arrays no earlier round met, so matrices that start from the same
-panels, or run on the same (H, X) contour, never solve an array twice.
-The memo is local to the pass and goes when it returns.  A matrix is the
-running sum of its panels, so it differs from a one-matrix ``m2l``
-build by rounding alone (below 1e-15 of its largest entry).
+``SigmaMemo``: each call solves the interface system in one go for the
+node arrays of its chunk that no earlier call met, so matrices that
+start from the same panels, or run on the same (H, X) contour, never
+solve an array twice.  The memo is local to the pass and goes when it
+returns.  A matrix is bitwise what ``m2l`` builds for its pair alone.
 Near-field interactions go through a
 frozen composite rule that shares one interface solve per node across
 every pair, in separable form: per-node moments of each source leaf,

@@ -83,13 +83,10 @@ G7_WEIGHTS = np.concatenate([_WG[:-1], _WG[::-1]])  # applies to nodes[1::2]
 
 
 # Panels per call of a family integrand: bounds the (panels x terms x
-# nodes x orders) temporaries of a lockstep round, while keeping the
-# per-call overhead small against the panels' arithmetic
+# nodes x orders) temporaries and the sigma solve of one call, while
+# keeping the per-call overhead small against the panels' arithmetic
 _PANEL_CHUNK = 16
 _TINY = 1e-280  # floor of a substituted panel's offset from its anchor
-# Node arrays per sigma solve of a SigmaMemo: bounds the solve's
-# temporaries when a round of a family asks for thousands at once
-_SOLVE_ROWS = 128
 # Integrals a family has in flight: each holds its running sums, four
 # arrays with one entry per component, while it refines
 _LIVE_INTEGRALS = 16
@@ -113,11 +110,7 @@ class Segment:
     (NaN on rows without one) and delta (n, 15), and the n panels'
     params, and returns the values with the panel axis first,
     (n, 15, ...), or in factored form (c, A, B) with shapes (n, R, 15),
-    (n, R, 15, p) and (n, R, 15, m).  If f has an attribute
-    ``prepare``, ``adaptive_family`` calls it with the same arguments
-    for all of a round's panels of f before calling f on them chunk by
-    chunk, so that f can share work across the chunks (an FMM pass
-    solves sigma there).
+    (n, R, 15, p) and (n, R, 15, m).
     """
 
     f: object
@@ -158,9 +151,7 @@ class QuadResult:
     value: np.ndarray
     err: np.ndarray
     n_panels: int
-    nodes: np.ndarray = None
-    weights: np.ndarray = None
-    spans: list = None
+    spans: list  # (segment index, ua, ub) of the live panels, sorted
 
 
 def _factored_sums(c, A, B, scale):
@@ -197,13 +188,11 @@ def _non_finite(lam):
 
 
 def _panel(seg, ua, ub):
-    """GK15 value, GK15 - G7 error, nodes and weights of one panel.
+    """GK15 value and GK15 - G7 error of one panel.
 
-    seg.f returns either the integrand values (nodes first, any trailing
-    shape) or a factored integrand (c, A, B) with value
-    sum_r c[r, k] * outer(A[r, k], B[r, k]) at node k, whose Kronrod and
-    Gauss sums are then two small GEMMs and the (nodes x |A| |B|) array
-    never exists.  A family integrand sees this panel as a batch of one.
+    seg.f returns the integrand values, nodes first, with any trailing
+    shape.  A family integrand (``seg.params`` set) sees this panel as a
+    batch of one.
     """
     if seg.params is not None:
         return _family_sums(seg.f, *_family_nodes([seg], [ua], [ub]), [seg.params])[0]
@@ -212,14 +201,7 @@ def _panel(seg, ua, ub):
     u = mid + half * GK_NODES
     lam, jac, dinfo = seg.map(u)
     fx = seg.f(lam) if dinfo is None else seg.f(lam, dinfo)
-    wts = half * GK_WEIGHTS * jac
-    if isinstance(fx, tuple):
-        c, A, B = fx
-        ik, ig, ok = _factored_sums(c[None], A[None], B[None], (half * jac)[None])
-        if not ok[0]:
-            raise _non_finite(lam)
-        return ik[0], np.abs(ik[0] - ig[0]), lam, wts
-    return _dense_sums(fx, jac, half, lam) + (lam, wts)
+    return _dense_sums(fx, jac, half, lam)
 
 
 def _dense_sums(fx, jac, half, lam):
@@ -261,31 +243,26 @@ def _family_nodes(segs, ua, ub):
 
 
 def _family_sums(f, lam, jac, dinfo, half, params):
-    """(val, err, nodes, wts) of n panels from one call of family integrand f.
+    """(val, err) of n panels from one call of family integrand f.
 
     A panel's values are bitwise those of ``_panel`` on it alone (the
     same elementwise operations and one GEMM per panel), whatever panels
     share the call; ``adaptive_family`` relies on that.
     """
     fx = f(lam, dinfo, params)
-    wts = half[:, None] * GK_WEIGHTS * jac
     if isinstance(fx, tuple):
         ik, ig, ok = _factored_sums(*fx, half[:, None] * jac)
         if not ok.all():
             raise _non_finite(lam[np.argmin(ok)])
-        err = np.abs(ik - ig)
-        return [(ik[i], err[i], lam[i], wts[i]) for i in range(len(params))]
-    return [
-        _dense_sums(fx[i], jac[i], half[i], lam[i]) + (lam[i], wts[i])
-        for i in range(len(params))
-    ]
+        return list(zip(ik, np.abs(ik - ig)))
+    return [_dense_sums(fx[i], jac[i], half[i], lam[i]) for i in range(len(params))]
 
 
-def _refine(segments, rtol, atol, max_panels, keep, collect_rule=False):
+def _refine(segments, rtol, atol, max_panels, keep):
     """Globally adaptive refinement of one integral, as a generator.
 
     It yields the panels it needs evaluated, a list of (segment index,
-    ua, ub), is sent back their (val, err, nodes, wts) in that order, and
+    ua, ub), is sent back their (val, err) in that order, and
     returns the QuadResult.  The panels are the initial ones of every
     segment, then the two halves of the live panel with the largest
     error relative to its component's target, one split per step.
@@ -300,7 +277,7 @@ def _refine(segments, rtol, atol, max_panels, keep, collect_rule=False):
     component.
     """
     spans = []  # (seg_idx, ua, ub) per panel; None once split
-    kept = []  # (val, err, nodes, wts) per panel, with keep
+    kept = []  # (val, err) per panel, with keep
     heap = []
     run = {}  # val, err and abs: running sums over the live panels
     denom = None  # frozen per-component error scale for refinement priority
@@ -308,7 +285,7 @@ def _refine(segments, rtol, atol, max_panels, keep, collect_rule=False):
 
     def push(new, results):
         for span, value in zip(new, results):
-            val, err = value[:2]
+            val, err = value
             spans.append(span)
             if keep:
                 kept.append(value)
@@ -395,33 +372,26 @@ def _refine(segments, rtol, atol, max_panels, keep, collect_rule=False):
 
     live = [i for i, s in enumerate(spans) if s is not None]
     live.sort(key=lambda i: spans[i][:2])
-    result = QuadResult(run["val"], run["err"], len(live), spans=[spans[i] for i in live])
+    result = QuadResult(run["val"], run["err"], len(live), [spans[i] for i in live])
     if keep:
-        values = [kept[i] for i in live]
-        result.value = sum(v[0] for v in values)
-        result.err = sum(v[1] for v in values)
-        if collect_rule:
-            result.nodes = np.concatenate([v[2] for v in values])
-            result.weights = np.concatenate([v[3] for v in values])
-        else:
-            result.spans = None
+        result.value = sum(kept[i][0] for i in live)
+        result.err = sum(kept[i][1] for i in live)
     return result
 
 
-def adaptive_segments(
-    segments, rtol, *, atol=0.0, max_panels=6000, collect_rule=False
-):
+def adaptive_segments(segments, rtol, *, atol=0.0, max_panels=6000):
     """Globally adaptive GK15 integration over a list of segments.
 
     The integrand may be vector valued; refinement continues until every
     component's accumulated error estimate is below
-    max(rtol*|V_c|, rtol*1e-3*max_c|V_c|, atol).  Panels are summed in
-    sorted interval order so results are independent of refinement
-    history and worker counts.  A split panel's entry is dropped: only
-    live panels are ever read again.  One integral, its panels evaluated
-    one ``_panel`` call at a time; ``adaptive_family`` runs many.
+    max(rtol*|V_c|, 100 eps * sum_panels |V_c|, atol).  Panels are summed
+    in sorted interval order so results are independent of refinement
+    history, and the result lists the spans of the live panels.  A split
+    panel's entry is dropped: only live panels are ever read again.  One
+    integral, its panels evaluated one ``_panel`` call at a time;
+    ``adaptive_family`` runs many.
     """
-    run = _refine(segments, rtol, atol, max_panels, True, collect_rule)
+    run = _refine(segments, rtol, atol, max_panels, True)
     request = next(run)
     while True:
         values = [_panel(segments[si], ua, ub) for si, ua, ub in request]
@@ -446,10 +416,9 @@ def adaptive_family(members, rtol, *, max_panels=6000):
     Up to ``_LIVE_INTEGRALS`` integrals are in flight, started in list
     order as others finish.  A round evaluates the panels they ask for
     together: the panels of one family integrand go to it in calls of at
-    most ``_PANEL_CHUNK`` panels, taken in integral order, after its
-    ``prepare`` hook has seen all of them.  An integral takes its values
-    as soon as they are all there.  An integral that fails raises at
-    once.
+    most ``_PANEL_CHUNK`` panels, taken in integral order, each call
+    mapping the nodes of its own panels.  An integral takes its values as
+    soon as they are all there.  An integral that fails raises at once.
     """
     runs = {}
     requests = {}
@@ -476,43 +445,22 @@ def adaptive_family(members, rtol, *, max_panels=6000):
         ]
         values = {i: [] for i in requests}
         missing = {i: len(req) for i, req in requests.items()}
-        # the nodes of every panel of a family integrand, then its hook
         queues = {}
-        for k, (i, seg, ua, ub) in enumerate(panels):
-            queues.setdefault(seg.f, []).append(k)
-        nodes = {}
-        rows = {}
-        for f, ks in queues.items():
-            segs = [panels[k][1] for k in ks]
-            params = [seg.params for seg in segs]
-            lam, jac, dinfo, half = _family_nodes(
-                segs, [panels[k][2] for k in ks], [panels[k][3] for k in ks]
-            )
-            prepare = getattr(f, "prepare", None)
-            if prepare is not None:
-                prepare(lam, dinfo, params)
-            nodes[f] = (lam, jac, dinfo, half, params)
-            rows.update((k, r) for r, k in enumerate(ks))
-            ks.clear()
 
         def flush(f):
-            lam, jac, dinfo, half, params = nodes[f]
-            r = [rows[k] for k in queues[f]]
-            d = None if dinfo is None else (dinfo[0][r], dinfo[1][r])
-            out = _family_sums(f, lam[r], jac[r], d, half[r], [params[x] for x in r])
-            for k, value in zip(queues[f], out):
-                store(k, value)
-            queues[f].clear()
-
-        def store(k, value):
-            i = panels[k][0]
-            values[i].append((k, value))
-            missing[i] -= 1
-            if not missing[i]:
-                take(i, [v for _, v in sorted(values.pop(i), key=lambda kv: kv[0])])
+            ks = queues[f]
+            segs = [panels[k][1] for k in ks]
+            nodes = _family_nodes(segs, [panels[k][2] for k in ks], [panels[k][3] for k in ks])
+            for k, value in zip(ks, _family_sums(f, *nodes, [s.params for s in segs])):
+                i = panels[k][0]
+                values[i].append((k, value))
+                missing[i] -= 1
+                if not missing[i]:
+                    take(i, [v for _, v in sorted(values.pop(i), key=lambda kv: kv[0])])
+            ks.clear()
 
         for k, (i, seg, ua, ub) in enumerate(panels):
-            queues[seg.f].append(k)
+            queues.setdefault(seg.f, []).append(k)
             if len(queues[seg.f]) == _PANEL_CHUNK:
                 # every queue at once, so that no integral waits long on a
                 # part of its panels while holding the rest
@@ -1104,27 +1052,14 @@ class SigmaMemo:
     def rows(self, lam, dinfo=None):
         """sigma at the node arrays lam[i] of n panels, an (n, nodes) array.
 
-        dinfo is None or (anchor, delta) with delta (n, nodes) and anchor
-        one value for every row or an (n, 1) array, NaN on rows without
-        an anchor.  Each row is looked up on its own key.
+        dinfo is None or (anchor, delta) with anchor (n, 1), NaN on rows
+        without one, and delta (n, nodes).  Each row is looked up on its
+        own key; the rows not stored yet go to one solve, a row that
+        repeats among them once.  A family integrand call takes at most
+        ``_PANEL_CHUNK`` panels, which bounds the solve.
         """
-        keys = self.fill(lam, dinfo)
-        return np.array([self._values[key] for key in keys])
-
-    def fill(self, lam, dinfo=None):
-        """Solve and keep the rows of lam not stored yet; returns the keys.
-
-        The missing rows go to ``sigma_component_batch`` in calls of at
-        most ``_SOLVE_ROWS`` rows (bounding the solve's temporaries), a
-        row that repeats among them once.  A call gets one anchor, or a
-        tuple of per-node anchors when its rows have several.
-        """
-        n = lam.shape[0]
-        if dinfo is None:
-            anchors = [None] * n
-        elif np.ndim(dinfo[0]) == 0:
-            anchors = [dinfo[0]] * n
-        else:
+        anchors = [None] * len(lam)
+        if dinfo is not None:
             anchors = [None if a != a else a for a in dinfo[0][:, 0].tolist()]
         keys = []
         misses = {}
@@ -1134,10 +1069,9 @@ class SigmaMemo:
             keys.append(key)
             if key not in self._values:
                 misses.setdefault(key, i)
-        misses = list(misses.items())
-        for i0 in range(0, len(misses), _SOLVE_ROWS):
-            self._solve(lam, dinfo, anchors, misses[i0 : i0 + _SOLVE_ROWS])
-        return keys
+        if misses:
+            self._solve(lam, dinfo, anchors, list(misses.items()))
+        return np.array([self._values[key] for key in keys])
 
     def _solve(self, lam, dinfo, anchors, misses):
         first = [i for _, i in misses]
@@ -1237,9 +1171,7 @@ class FrozenComponentRule:
                 return sig(lam, dinfo) * _e(lam, dinfo)
 
             segs = _build_segments(f, 0.0, lam_max, branch, x_max)
-            res = adaptive_segments(
-                segs, rtol, max_panels=spec.max_panels, collect_rule=True
-            )
+            res = adaptive_segments(segs, rtol, max_panels=spec.max_panels)
             if seg_edges is None:
                 seg_edges = [set() for _ in segs]
                 segments = segs

@@ -554,17 +554,13 @@ def dense_power_family(medium, cid, alpha, beta, X, p_orders, m_orders, spec):
     return res.value.reshape(len(p_orders), len(m_orders)).T, res.n_panels
 
 
-def factored_power_family(monkeypatch, *args):
-    """``_power_family(*args)`` and the live panel count of its quadrature."""
-    results = []
-
-    def recording(*a, **kw):
-        results.append(adaptive_segments(*a, **kw))
-        return results[-1]
-
-    monkeypatch.setattr(expansions, "adaptive_segments", recording)
-    out = _power_family(*args)
-    return out, results[-1].n_panels
+def factored_power_family(monkeypatch, medium, cid, alpha, beta, X, *rest):
+    """``_power_family`` at one geometry, and the live panel count of its
+    quadrature."""
+    runs = _record(monkeypatch, "adaptive_family")
+    (out,) = _power_family(medium, cid, [(alpha, beta, X)], *rest)
+    (result,) = runs
+    return out, result.n_panels
 
 
 UNEQUAL = ReactionComponentId(0, 1, Dir.UP, Dir.DOWN)  # k_t = 1, k_s = 1.5
@@ -597,34 +593,29 @@ class TestFactoredPowerFamily:
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_both_signs_share_one_sigma_solve(self, monkeypatch):
-        # at X = 0 every panel is symmetrized: one solve per panel, where
-        # solving each sign separately would take two
-        solves = []
+        # at X = 0 every panel is symmetrized: one sigma row per distinct
+        # panel, where solving each sign separately would take two
         panels = []
-        solve = quadrature.sigma_component_batch
-        panel = quadrature._panel
+        sums = quadrature._family_sums
 
-        def counting_solve(*args, **kwargs):
-            solves.append(1)
-            return solve(*args, **kwargs)
+        def recording(f, lam, jac, *args):
+            panels.extend(zip(map(bytes, lam), map(bytes, jac)))
+            return sums(f, lam, jac, *args)
 
-        def counting_panel(*args):
-            panels.append(1)
-            return panel(*args)
-
-        monkeypatch.setattr(quadrature, "sigma_component_batch", counting_solve)
-        monkeypatch.setattr(quadrature, "_panel", counting_panel)
-        _power_family(TWO_LAYER, UPUP, 0.4, 0.7, 0.0, _orders(9), _orders(9), SPEC)
-        assert len(panels) > 0
-        assert len(solves) == len(panels)
+        monkeypatch.setattr(quadrature, "_family_sums", recording)
+        rows = _solved_rows(monkeypatch)
+        geometry = [(0.4, 0.7, 0.0)]
+        _power_family(TWO_LAYER, UPUP, geometry, _orders(9), _orders(9), SPEC)
+        assert len(panels) > len(set(panels)) > 0  # splits evaluate a panel again
+        assert len(rows) == len(set(panels))
 
     def test_shared_memo_changes_no_matrix(self, monkeypatch):
         # a second matrix on the same contour solves nothing new and is
         # bitwise what a fresh memo gives
         orders = _orders(9)
-        args = (TWO_LAYER, UNEQUAL, 0.4, 0.7, 0.9, orders, orders, M2L_SPEC)
+        args = (TWO_LAYER, UNEQUAL, [(0.4, 0.7, 0.9)], orders, orders, M2L_SPEC)
         memo = SigmaMemo(TWO_LAYER, UNEQUAL)
-        first = _power_family(*args, memo)
+        (first,) = _power_family(*args, memo)
         solves = []
         solve = quadrature.sigma_component_batch
 
@@ -633,15 +624,15 @@ class TestFactoredPowerFamily:
             return solve(*a, **kw)
 
         monkeypatch.setattr(quadrature, "sigma_component_batch", counting)
-        again = _power_family(*args, memo)
+        (again,) = _power_family(*args, memo)
         assert solves == []
         assert np.array_equal(again, first)
-        assert np.array_equal(_power_family(*args), first)
+        assert np.array_equal(_power_family(*args)[0], first)
 
     def test_memo_of_another_component_rejected(self):
         with pytest.raises(DomainError):
             _power_family(
-                TWO_LAYER, UPUP, 0.4, 0.7, 0.0, [0], [0], SPEC,
+                TWO_LAYER, UPUP, [(0.4, 0.7, 0.0)], [0], [0], SPEC,
                 SigmaMemo(TWO_LAYER, UNEQUAL),
             )
 
@@ -704,28 +695,32 @@ def _solved_rows(monkeypatch):
 class TestM2LFamily:
     def test_family_matches_one_matrix_builds(self, monkeypatch):
         P = 17
-        solo_runs = _record(monkeypatch, "adaptive_segments")
-        family_runs = _record(monkeypatch, "adaptive_family")
+        solo_runs = []
+        family_runs = []
         solo_rows = []
         family_rows = []
         for cid in TWO_LAYER_CIDS:
             pairs = _m2l_pairs(cid)
             with monkeypatch.context() as m:
+                runs = _record(m, "adaptive_family")
                 rows = _solved_rows(m)
                 memo = SigmaMemo(TWO_LAYER, cid)
                 solo = [m2l(TWO_LAYER, cid, xl, xc, P, P, M2L_SPEC, sigma=memo).matrix
                         for xl, xc in pairs]
+                solo_runs += runs
                 solo_rows += rows
             with monkeypatch.context() as m:
+                runs = _record(m, "adaptive_family")
                 rows = _solved_rows(m)
                 family = expansions.m2l_family(
                     TWO_LAYER, cid, pairs, P, P, M2L_SPEC, SigmaMemo(TWO_LAYER, cid)
                 )
+                family_runs += runs
                 family_rows += rows
             for got, want in zip(family, solo):
                 assert got.shape == want.shape == (2 * P - 1, 2 * P - 1)
-                # a family matrix is the running sum of its panels
-                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+                # m2l is the family of its one pair
+                assert np.array_equal(got, want)
         # the same panels, matrix by matrix
         assert len(family_runs) == len(solo_runs) == 12
         for fam, ref in zip(family_runs, solo_runs):
@@ -734,3 +729,31 @@ class TestM2LFamily:
         assert len(set(family_rows)) == len(family_rows)
         assert set(family_rows) == set(solo_rows)
         assert len(family_rows) == len(solo_rows)
+
+
+class TestLeCoeffsFamily:
+    def test_sources_run_as_one_family(self, monkeypatch):
+        # one lockstep family for all sources, bitwise the q-weighted sum
+        # of the sources' own L_m
+        x_cl = (0.3, 1.9)
+        singles = [
+            le_coeffs_direct(SOFT, UPUP, x_cl, SRC[j : j + 1], [1.0], 10, SPEC)
+            for j in range(len(SRC))
+        ]
+        runs = _record(monkeypatch, "adaptive_family")
+        calls = []
+        family = expansions.adaptive_family
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return family(*a, **kw)
+
+        monkeypatch.setattr(expansions, "adaptive_family", counting)
+        le = le_coeffs_direct(SOFT, UPUP, x_cl, SRC, Q, 10, SPEC)
+        assert len(calls) == 1
+        assert len(runs) == len(SRC)
+        total = np.zeros(19, dtype=complex)
+        for q, single in zip(Q, singles):
+            total += q * single.coeffs
+        assert np.array_equal(le.coeffs, total)
+        assert le.reach == min(single.reach for single in singles)

@@ -438,8 +438,10 @@ class TestWorkCounters:
         # panels solve sigma once for both signs
         solves = []
         panels = []
+        family_calls = []
         solve = quadrature.sigma_component_batch
         panel = quadrature._panel
+        sums = quadrature._family_sums
 
         def counting_solve(medium, lams, cid, **kwargs):
             lams = np.asarray(lams)
@@ -454,17 +456,24 @@ class TestWorkCounters:
             panels.append(1)
             return panel(*args)
 
+        def counting_sums(*args):
+            family_calls.append(1)
+            return sums(*args)
+
         monkeypatch.setattr(quadrature, "sigma_component_batch", counting_solve)
         monkeypatch.setattr(quadrature, "_panel", counting_panel)
+        monkeypatch.setattr(quadrature, "_family_sums", counting_sums)
         rng = np.random.default_rng(8)
         src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
         evaluate_all(TWO_LAYER, src, tgt, FmmConfig(eps=1e-6, leaf_size=10))
         # every component has one pass per call, so a repeated key would
         # be a pass solving the same node array twice
         assert len(set(solves)) == len(solves)
-        # at most one solve per panel, plus each frozen rule's final solve
-        # over all its nodes (one rule per pass, four passes)
-        assert len(solves) <= len(panels) + 4
+        # at most one solve per frozen-rule panel, plus each frozen rule's
+        # final solve over all its nodes (one rule per pass, four passes),
+        # plus one per chunk of M2L panels
+        assert len(solves) <= len(panels) + 4 + len(family_calls)
+
 
 class TestReproducibility:
     def test_bitwise_equal_across_processes_at_one_blas_thread(self):

@@ -402,44 +402,52 @@ def _factored(lam, dinfo=None):
     return c, A, B
 
 
+def _factored_panels(lam, dinfo, params):
+    """``_factored`` as a family integrand: n panels, nodes lam (n, 15)."""
+    c, A, B = zip(*(_factored(row) for row in lam))
+    return np.stack(c), np.stack(A), np.stack(B)
+
+
+def _one_member(f, layout, rtol):
+    """QuadResult of a family whose one integral runs over layout."""
+    segs = [Segment(f, a, b, sub, n0, ()) for a, b, sub, n0 in layout]
+    ((_, result),) = quadrature.adaptive_family([(segs, 0.0)], rtol)
+    return result
+
+
 class TestFactoredIntegrand:
     def test_matches_dense_integrand(self):
-        def dense(lam, dinfo=None):
-            c, A, B = _factored(lam, dinfo)
-            f = np.einsum("rn,rnp,rnm->npm", c, A, B)
-            return f.reshape(f.shape[0], -1)
+        def dense(lam, dinfo, params):
+            c, A, B = _factored_panels(lam, dinfo, params)
+            f = np.einsum("krn,krnp,krnm->knpm", c, A, B)
+            return f.reshape(f.shape[0], f.shape[1], -1)
 
-        segs = [Segment(None, 0.0, 1.0, "left", 2), Segment(None, 1.0, 6.0, "none", 3)]
-        results = []
-        for f in (_factored, dense):
-            for seg in segs:
-                seg.f = f
-            results.append(adaptive_segments(segs, 1e-12, collect_rule=True))
-        got, ref = results
+        layout = [(0.0, 1.0, "left", 2), (1.0, 6.0, "none", 3)]
+        got, ref = (_one_member(f, layout, 1e-12) for f in (_factored_panels, dense))
         assert got.value.shape == ref.value.shape == (35,)
         assert got.n_panels == ref.n_panels
-        assert np.array_equal(got.nodes, ref.nodes)
+        assert got.spans == ref.spans
         scale = np.max(np.abs(ref.value))
         assert np.max(np.abs(got.value - ref.value)) <= 1e-14 * scale
 
     def test_non_finite_factor_raises(self):
-        def bad(lam, dinfo=None):
-            c, A, B = _factored(lam)
-            B[1, 4, 2] = np.nan
+        def bad(lam, dinfo, params):
+            c, A, B = _factored_panels(lam, dinfo, params)
+            B[:, 1, 4, 2] = np.nan
             return c, A, B
 
         with pytest.raises(ToleranceNotReachedError):
-            adaptive_segments([Segment(bad, 0.0, 1.0)], 1e-10)
+            _one_member(bad, [(0.0, 1.0, "none", 1)], 1e-10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_product_raises(self):
         # every factor finite, their products not
-        def big(lam, dinfo=None):
-            c, A, B = _factored(lam)
+        def big(lam, dinfo, params):
+            c, A, B = _factored_panels(lam, dinfo, params)
             return c * 1e300, A * 1e10, B
 
         with pytest.raises(ToleranceNotReachedError):
-            adaptive_segments([Segment(big, 0.0, 1.0)], 1e-10)
+            _one_member(big, [(0.0, 1.0, "none", 1)], 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +514,7 @@ class TestAdaptiveFamily:
         family = dict(quadrature.adaptive_family(members, 1e-10))
         family = [family[i] for i in range(len(members))]
         solo = [
-            adaptive_segments(segs, 1e-10, atol=atol, collect_rule=True)
+            adaptive_segments(segs, 1e-10, atol=atol)
             for segs, atol in members
         ]
         # members that converge in different numbers of rounds
@@ -527,17 +535,16 @@ class TestAdaptiveFamily:
         ]
         ua = [0.1, 0.2, 0.3, 0.0, 0.5, 2.5]
         ub = [0.6, 0.9, 4.0, 0.4, 0.8, 7.0]
-        batch = quadrature._family_sums(
-            _anchored_family,
-            *quadrature._family_nodes(segs, ua, ub),
-            [s.params for s in segs],
-        )
-        for seg, a, b, got in zip(segs, ua, ub, batch):
-            want = quadrature._panel(seg, a, b)
+        nodes = quadrature._family_nodes(segs, ua, ub)
+        batch = quadrature._family_sums(_anchored_family, *nodes, [s.params for s in segs])
+        for i, (seg, a, b, got) in enumerate(zip(segs, ua, ub, batch)):
+            # each row maps as its own segment does
             u = 0.5 * (a + b) + 0.5 * (b - a) * quadrature.GK_NODES
             lam, jac, _ = seg.map(u)
-            assert np.array_equal(want[2], lam)
-            assert np.array_equal(want[3], 0.5 * (b - a) * quadrature.GK_WEIGHTS * jac)
+            assert np.array_equal(nodes[0][i], lam)
+            assert np.array_equal(nodes[1][i], jac)
+            want = quadrature._panel(seg, a, b)
+            assert len(got) == len(want) == 2
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 

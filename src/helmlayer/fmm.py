@@ -30,10 +30,11 @@ node arrays of its chunk that no earlier call met, so matrices that
 start from the same panels, or run on the same (H, X) contour, never
 solve an array twice.  The memo is local to the pass and goes when it
 returns.  A matrix is bitwise what ``m2l`` builds for its pair alone.
-Near-field interactions go through a
-frozen composite rule that shares one interface solve per node across
-every pair, in separable form: per-node moments of each source leaf,
-applied to the points of each target box.  The same-layer free-space
+Near-field interactions go through a frozen composite rule that shares
+one interface solve per node across every pair, in separable form:
+per-node moments of each source leaf, applied to the points of each
+target box.  The rule adapts on five probe geometries, run as one
+lockstep family like the M2L matrices.  The same-layer free-space
 part is a second pass with Graf's addition theorem as its operators
 and direct Hankel sums in its near field; a target that coincides with
 a source gets no free-space term from it (the reaction terms stay

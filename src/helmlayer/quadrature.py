@@ -201,21 +201,28 @@ def _panel(seg, ua, ub):
     u = mid + half * GK_NODES
     lam, jac, dinfo = seg.map(u)
     fx = seg.f(lam) if dinfo is None else seg.f(lam, dinfo)
-    return _dense_sums(fx, jac, half, lam)
+    return _dense_sums([fx], jac[None], np.array([half]), lam[None])[0]
 
 
 def _dense_sums(fx, jac, half, lam):
-    """GK15 value and GK15 - G7 error of one panel's values fx at lam."""
+    """(val, err) of n panels: GK15 value and GK15 - G7 error of each.
+
+    fx holds the values panel axis first, (n, 15, ...), jac and lam are
+    (n, 15) and half (n,).  The stacked matmul runs one product per panel,
+    so a panel's sums are bitwise the same whatever panels share the call.
+    """
     fx = np.asarray(fx, dtype=complex)
-    if not np.all(np.isfinite(fx.view(float))):
-        raise _non_finite(lam)
-    if fx.ndim == 1:
-        fx = fx * jac
-    else:
-        fx = fx * jac[:, None]
-    ik = half * np.tensordot(GK_WEIGHTS, fx, axes=(0, 0))
-    ig = half * np.tensordot(G7_WEIGHTS, fx[1::2], axes=(0, 0))
-    return np.atleast_1d(ik), np.atleast_1d(np.abs(ik - ig))
+    n = fx.shape[0]
+    flat = fx.reshape(n, 15, -1)
+    ok = np.isfinite(flat).all(axis=(1, 2))
+    if not ok.all():
+        raise _non_finite(lam[np.argmin(ok)])
+    flat = flat * jac[:, :, None]
+    ik = half[:, None] * np.matmul(GK_WEIGHTS, flat)
+    err = np.abs(ik - half[:, None] * np.matmul(G7_WEIGHTS, flat[:, 1::2]))
+    shape = fx.shape[2:] or (1,)
+    # each panel gets arrays of its own: adaptive_segments keeps them
+    return [(ik[i].reshape(shape).copy(), err[i].reshape(shape).copy()) for i in range(n)]
 
 
 def _family_nodes(segs, ua, ub):
@@ -255,7 +262,7 @@ def _family_sums(f, lam, jac, dinfo, half, params):
         if not ok.all():
             raise _non_finite(lam[np.argmin(ok)])
         return list(zip(ik, np.abs(ik - ig)))
-    return [_dense_sums(fx[i], jac[i], half[i], lam[i]) for i in range(len(params))]
+    return _dense_sums(fx, jac, half, lam)
 
 
 def _refine(segments, rtol, atol, max_panels, keep):
@@ -1020,27 +1027,19 @@ def tail_integral_cdh(medium, cid, x, xp, spec=None):
 class SigmaMemo:
     """sigma of one component, solved once per distinct node array.
 
-    ``memo(lam, dinfo)`` returns ``sigma_component_batch(medium, lam, cid,
-    dinfo=dinfo)``.  It is keyed on the exact bytes of lam and, on
-    anchored panels, of the dinfo offset, so a repeat returns bitwise what
-    a new solve would.  ``memo.rows`` does the same for the panels of one
-    family integrand call.  The memo lives as long as its owner (a
-    frozen-rule build, an FMM reaction pass) and nothing keeps it beyond
-    that.
+    ``memo.rows(lam, dinfo)`` returns sigma at the node arrays of the
+    panels of one family integrand call, each row bitwise what
+    ``sigma_component_batch(medium, row, cid, dinfo=...)`` gives for that
+    panel alone.  A row is keyed on the exact bytes of its nodes and, on
+    anchored panels, of its dinfo offset, so a repeat returns bitwise what
+    a new solve would.  The memo lives as long as its owner (a frozen-rule
+    build, an FMM reaction pass) and nothing keeps it beyond that.
     """
 
     def __init__(self, medium, cid):
         self.medium = medium
         self.cid = cid
         self._values = {}
-
-    def __call__(self, lam, dinfo=None):
-        anchor = None if dinfo is None else dinfo[0]
-        key = self._key(lam, anchor, None if dinfo is None else dinfo[1])
-        if key not in self._values:
-            rows = None if dinfo is None else (anchor, dinfo[1][None])
-            self._solve(lam[None], rows, [anchor], [(key, 0)])
-        return self._values[key]
 
     @staticmethod
     def _key(row, anchor, delta):
@@ -1102,9 +1101,12 @@ class SigmaMemo:
 class FrozenComponentRule:
     """A fixed node/weight set for one reaction component.
 
-    Adapts once on a handful of worst-case probe geometries, freezes the
-    union of the panel sets, and solves the interface systems a single
-    time per node.  The kernel
+    Adapts once on five worst-case probe geometries, freezes the union of
+    the panel sets, and solves the interface systems a single time per
+    node.  The probes run as one lockstep family (``adaptive_family``):
+    each takes the panels it would take alone, while every round
+    evaluates the new panels of all five in chunked integrand calls that
+    share one ``SigmaMemo``.  The kernel
     sum_nu 2 w sigma e^{-h_t alpha} e^{-h_s beta} cos(lam (x - x'))
     separates in x, because cos lam(x - x') = cos lam x cos lam x' +
     sin lam x sin lam x': ``source_moments`` folds a set of sources into
@@ -1156,28 +1158,25 @@ class FrozenComponentRule:
             (a_hi, b_hi, x_max),
             (0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi), 0.5 * x_max),
         ]
-        # union of the adapted panel edges across all probes; the segment
-        # lists are identical by construction so edges merge per segment.
-        # Every probe starts from the same panels and bisects them the same
-        # way, so sigma is solved once per distinct panel and shared
+        # union of the probes' adapted panel edges, merged per segment (their
+        # segment lists are identical by construction); every probe bisects
+        # the same initial panels, so sigma is solved once per distinct panel
         sig = SigmaMemo(medium, cid)
 
-        seg_edges = None
-        segments = None
-        for alpha, beta, X in probes:
+        def f(lam, dinfo, params):
+            alpha, beta, X = np.array(params).T[:, :, None]
             e_sym = _exp_factor_half(medium, cid, alpha, beta, X)
+            return sig.rows(lam, dinfo) * e_sym(lam, dinfo)
 
-            def f(lam, dinfo=None, _e=e_sym):
-                return sig(lam, dinfo) * _e(lam, dinfo)
-
-            segs = _build_segments(f, 0.0, lam_max, branch, x_max)
-            res = adaptive_segments(segs, rtol, max_panels=spec.max_panels)
-            if seg_edges is None:
-                seg_edges = [set() for _ in segs]
-                segments = segs
+        members = [
+            (_build_segments(f, 0.0, lam_max, branch, x_max, params=p), 0.0)
+            for p in probes
+        ]
+        segments = members[0][0]
+        seg_edges = [set() for _ in segments]
+        for _, res in adaptive_family(members, rtol, max_panels=spec.max_panels):
             for si, ua, ub in res.spans:
-                seg_edges[si].add(ua)
-                seg_edges[si].add(ub)
+                seg_edges[si].update((ua, ub))
         nodes = []
         weights = []
         for si, seg in enumerate(segments):

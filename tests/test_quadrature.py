@@ -13,9 +13,13 @@ from helmlayer.medium import (
     Dir,
     ReactionComponentId,
     acoustic,
+    admissible_components,
     sound_soft_halfspace,
 )
 from helmlayer.quadrature import (
+    GK_NODES,
+    GK_WEIGHTS,
+    G7_WEIGHTS,
     CdHMap,
     ContourSpec,
     Segment,
@@ -33,13 +37,14 @@ from helmlayer.quadrature import (
     tail_integral_cdh,
     FrozenComponentRule,
 )
-from helmlayer.sigma import PoleInfo
+from helmlayer.sigma import PoleInfo, sigma_component_batch
 from helmlayer.special import hsq
 
 SOFT = sound_soft_halfspace(1.0)
 HOMOG = acoustic((0.0,), (1.0, 1.0))
 TWO_LAYER = acoustic((0.0,), (1.0, 1.5))
 SLAB = acoustic((0.0, -1.0), (1.0, 2.0, 1.0))
+THREE_LAYER = acoustic((0.0, -1.0), (1.0, 1.5, 2.0))
 UPUP = ReactionComponentId(0, 0, Dir.UP, Dir.UP)
 
 
@@ -342,6 +347,70 @@ class TestCdHTails:
         assert rc.n_panels <= rr.n_panels / 2
 
 
+def probe_by_probe_rule(medium, cid, alpha_range, beta_range, x_max, rtol):
+    """(lam, w, sig) of a frozen rule whose probes adapt one at a time.
+
+    Reference for ``FrozenComponentRule``'s lockstep build: each of the
+    five probes runs through ``adaptive_segments`` with sigma solved per
+    panel, and the rule is the union of their panel edges.
+    """
+    k_split = ContourSpec(rtol=rtol).resolve_split(medium)
+    kt = medium.wavenumbers[cid.t]
+    ks = medium.wavenumbers[cid.s]
+    (a_lo, a_hi), (b_lo, b_hi) = alpha_range, beta_range
+    lam_max = max(quadrature.tail_cutoff(a_lo + b_lo, rtol, max(kt, ks)), 1.5 * k_split)
+    branch = sorted(set(medium.wavenumbers))
+    probes = [
+        (a_lo, b_lo, 0.0),
+        (a_lo, b_lo, x_max),
+        (a_hi, b_hi, 0.0),
+        (a_hi, b_hi, x_max),
+        (0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi), 0.5 * x_max),
+    ]
+    edges = None
+    for alpha, beta, X in probes:
+        e_sym = quadrature._exp_factor_half(medium, cid, alpha, beta, X)
+
+        def f(lam, dinfo=None, _e=e_sym):
+            return sigma_component_batch(medium, lam, cid, dinfo=dinfo) * _e(lam, dinfo)
+
+        segs = quadrature._build_segments(f, 0.0, lam_max, branch, x_max)
+        edges = edges or [set() for _ in segs]
+        for si, ua, ub in adaptive_segments(segs, rtol).spans:
+            edges[si].update((ua, ub))
+    nodes, weights = [], []
+    for seg, seg_edges in zip(segs, edges):
+        seg_edges = sorted(seg_edges)
+        for ua, ub in zip(seg_edges[:-1], seg_edges[1:]):
+            half = 0.5 * (ub - ua)
+            lam, jac, _ = seg.map(0.5 * (ua + ub) + half * GK_NODES)
+            nodes.append(lam)
+            weights.append(half * GK_WEIGHTS * jac)
+    nodes = np.concatenate(nodes)
+    order = np.argsort(nodes, kind="stable")
+    lam = nodes[order]
+    return lam, np.concatenate(weights)[order], sigma_component_batch(medium, lam, cid)
+
+
+def _two_layer_rules(alpha_range, beta_range, x_max):
+    return [
+        (TWO_LAYER, cid, alpha_range, beta_range, x_max)
+        for t in (0, 1)
+        for s in (0, 1)
+        for cid in admissible_components(t, s, 1)
+    ]
+
+
+# offset ranges and x range of the rules an FMM pass builds on the
+# benchmark's clouds: points 0.02-1.02 from the interface, and a uniform
+# cloud that keeps 0.18 clear of it
+RULE_CASES = (
+    _two_layer_rules((0.02, 1.02), (0.02, 1.02), 4.7)
+    + _two_layer_rules((0.18, 1.8), (0.18, 1.8), 1.19)
+    + [(THREE_LAYER, ReactionComponentId(0, 2, Dir.UP, Dir.DOWN), (0.08, 1.2), (0.08, 1.2), 1.5)]
+)
+
+
 class TestFrozenRule:
     def test_matches_adaptive(self):
         rule = FrozenComponentRule(
@@ -389,6 +458,42 @@ class TestFrozenRule:
         )
         assert len(seen) == len(set(seen))
         assert rule.n_nodes == 435
+
+    @pytest.mark.parametrize(
+        "medium, cid, alpha_range, beta_range, x_max",
+        RULE_CASES,
+        ids=[f"{c[1]}-{c[2][0]}" for c in RULE_CASES],
+    )
+    def test_lockstep_build_is_bitwise_probe_by_probe(
+        self, medium, cid, alpha_range, beta_range, x_max
+    ):
+        rule = FrozenComponentRule(medium, cid, alpha_range, beta_range, x_max, rtol=5e-8)
+        lam, w, sig = probe_by_probe_rule(medium, cid, alpha_range, beta_range, x_max, 5e-8)
+        assert np.array_equal(rule.lam, lam)
+        assert np.array_equal(rule.w, w)
+        assert np.array_equal(rule.sig, sig)
+
+    def test_build_takes_its_panels_in_chunks(self, monkeypatch):
+        # the probes' panels go to the integrand in family calls of at
+        # most _PANEL_CHUNK panels, none through the one-panel path
+        sizes = []
+        panels = []
+        sums = quadrature._family_sums
+        panel = quadrature._panel
+
+        def recording(f, lam, *args):
+            sizes.append(lam.shape[0])
+            return sums(f, lam, *args)
+
+        def counting(*args):
+            panels.append(1)
+            return panel(*args)
+
+        monkeypatch.setattr(quadrature, "_family_sums", recording)
+        monkeypatch.setattr(quadrature, "_panel", counting)
+        FrozenComponentRule(TWO_LAYER, UPUP, (0.02, 1.02), (0.02, 1.02), 4.7, rtol=5e-8)
+        assert panels == []
+        assert max(sizes) == quadrature._PANEL_CHUNK
 
 
 def _factored(lam, dinfo=None):
@@ -558,3 +663,54 @@ class TestAdaptiveFamily:
             dict(quadrature.adaptive_family(members, 1e-13, max_panels=20))
         assert np.array_equal(family.value.value, alone.value.value)
         assert np.array_equal(family.value.err, alone.value.err)
+
+
+def _one_panel(f, params):
+    """Family integrand f as the integrand of one segment, a panel a call."""
+
+    def g(lam, dinfo=None):
+        if dinfo is not None:
+            dinfo = (np.array([[dinfo[0]]]), dinfo[1][None])
+        return f(lam[None], dinfo, [params])[0]
+
+    return g
+
+
+def _tensordot_sums(seg, ua, ub):
+    """(val, err) of one panel, summed with np.tensordot."""
+    half = 0.5 * (ub - ua)
+    lam, jac, dinfo = seg.map(0.5 * (ua + ub) + half * GK_NODES)
+    fx = np.asarray(seg.f(lam) if dinfo is None else seg.f(lam, dinfo), dtype=complex)
+    fx = fx * (jac if fx.ndim == 1 else jac[:, None])
+    ik = half * np.tensordot(GK_WEIGHTS, fx, axes=(0, 0))
+    ig = half * np.tensordot(G7_WEIGHTS, fx[1::2], axes=(0, 0))
+    return np.atleast_1d(ik), np.atleast_1d(np.abs(ik - ig))
+
+
+@pytest.mark.parametrize("n", [1, quadrature._PANEL_CHUNK])
+@pytest.mark.parametrize(
+    "layout", [DENSE_LAYOUT, ANCHORED_LAYOUT], ids=["unanchored", "anchored"]
+)
+@pytest.mark.parametrize("f", [_dense_family, _anchored_family], ids=["vector", "scalar"])
+def test_dense_family_sums_are_bitwise_single_panels(f, layout, n):
+    # a chunk of dense panels sums each panel as _panel sums it alone,
+    # which is what np.tensordot gave
+    rng = np.random.default_rng(n)
+    segs, ua, ub = [], [], []
+    for i in range(n):
+        a, b, sub, _ = layout[i % len(layout)]
+        segs.append(Segment(f, a, b, sub, 1, (rng.uniform(0.2, 3.0), rng.uniform(0.0, 9.0))))
+        lo, hi = np.sort(rng.uniform(*segs[-1].u_range(), 2))
+        ua.append(lo)
+        ub.append(hi)
+    nodes = quadrature._family_nodes(segs, ua, ub)
+    batch = quadrature._family_sums(f, *nodes, [s.params for s in segs])
+    assert len(batch) == n
+    for seg, a, b, got in zip(segs, ua, ub, batch):
+        alone = Segment(_one_panel(f, seg.params), seg.a, seg.b, seg.sub)
+        want = quadrature._panel(alone, a, b)
+        ref = _tensordot_sums(alone, a, b)
+        for g, w, r in zip(got, want, ref):
+            assert g.shape == w.shape == r.shape
+            assert np.array_equal(g, w)
+            assert np.array_equal(w, r)

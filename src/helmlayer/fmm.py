@@ -75,7 +75,14 @@ from .medium import (
     polarization_preimage,
     relevant_interface,
 )
-from .quadrature import ContourSpec, FrozenComponentRule, SigmaMemo, _pole_cache
+from .quadrature import (
+    ContourSpec,
+    FrozenComponentRule,
+    SigmaMemo,
+    _pole_cache,
+    evaluate_component,
+    has_branch_pole,
+)
 from .expansions import (
     _toeplitz,
     choose_truncation,
@@ -616,6 +623,10 @@ class FmmPlan:
     strengths.  The plan keeps copies of the points and its operators,
     all read-only, until it is dropped: about 5 MB at N = 2000 and
     eps = 1e-6 on a two-layer medium.
+
+    Construction refuses (``DomainError``) targets and sources that share
+    an interior layer: the operators do not take the pole their sigma
+    has at that layer's branch point.  ``direct_sum`` takes them.
     """
 
     def __init__(self, medium, source_xy, targets, config=None):
@@ -627,6 +638,16 @@ class FmmPlan:
         self.medium = medium
         self.source_xy = _frozen_points(source_xy)
         self.targets = _frozen_points(targets)
+        self._t_layers = _layers_of_batch(medium, self.targets[:, 1])
+        self._s_layers = _layers_of_batch(medium, self.source_xy[:, 1])
+        for t in sorted(set(self._t_layers.tolist()) & set(self._s_layers.tolist())):
+            cid = admissible_components(t, t, medium.n_interfaces)[0]
+            if has_branch_pole(medium, cid):
+                raise DomainError(
+                    f"the fast evaluator cannot take {cid}: targets and sources "
+                    f"share interior layer {t}, whose sigma has a pole at the "
+                    f"branch point k_{t}; use direct_sum"
+                )
         self.config = config or FmmConfig()
         self._operators = {}
 
@@ -634,8 +655,7 @@ class FmmPlan:
         """Total field at the targets for these source strengths."""
         medium, config, targets = self.medium, self.config, self.targets
         sources = SourceSet(self.source_xy, strengths)
-        t_layers = _layers_of_batch(medium, targets[:, 1])
-        s_layers = _layers_of_batch(medium, sources.xy[:, 1])
+        t_layers, s_layers = self._t_layers, self._s_layers
         out = np.zeros(targets.shape[0], dtype=complex)
         L = medium.n_interfaces
         for t in sorted(set(t_layers.tolist())):
@@ -657,6 +677,9 @@ class FmmPlan:
 def direct_sum(medium, sources, targets, rtol=1e-8):
     """Reference pairwise summation (frozen-rule kernels, O(N^2)).
 
+    A component whose sigma has a pole at a branch point (targets and
+    sources in one interior layer) is summed pair by pair through
+    ``evaluate_component`` instead.
     Like ``evaluate_all``, a zero-distance source/target pair contributes
     no free-space term; its reaction terms are kept.
     """
@@ -673,6 +696,9 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
             sxy = sources.xy[src_sel]
             sq = sources.q[src_sel]
             for cid in admissible_components(t, s, L):
+                if has_branch_pole(medium, cid):
+                    out[tgt_sel] += _pointwise_sum(medium, cid, txy, sxy, sq, rtol)
+                    continue
                 d_t = relevant_interface(medium, cid.t, cid.dir_t)
                 d_s = relevant_interface(medium, cid.s, cid.dir_s)
                 alphas = cid.dir_t.tau * (txy[:, 1] - d_t)
@@ -713,6 +739,26 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
                     vals[r == 0.0] = 0.0
                     out[tgt_sel[i0:i1]] += (sq[None, :] * vals).sum(axis=1)
     return out
+
+
+def _pointwise_sum(medium, cid, txy, sxy, q, rtol):
+    """Sum over sources of one component, pair by pair, at every target.
+
+    For components with a pole at a branch point (``has_branch_pole``),
+    which the frozen rule cannot take: each pair is an
+    ``evaluate_component`` principal value.
+    """
+    spec = ContourSpec(rtol=rtol)
+    return np.array(
+        [
+            sum(
+                qj * evaluate_component(medium, cid, tuple(x), tuple(xp), spec)
+                for xp, qj in zip(sxy, q)
+            )
+            for x in txy
+        ],
+        dtype=complex,
+    )
 
 
 def measure_scaling(medium, n_values, seed=0, config=None, box=None):

@@ -14,6 +14,9 @@ spectral axis.  The machinery here:
   by the lossy perturbation, or alternatively the whole integral is run
   on a slightly lossy medium and Richardson-extrapolated (pole_mode
   "perturbed", kept as an independent oracle);
+* the simple pole at an interior layer's own branch point, which the
+  components with target and source in that layer carry, subtracted
+  over the whole half line with its principal value added analytically;
 * optional Cagniard--de Hoop tails: the map
   phi(z) = z cos(beta) + i sqrt(z^2 - k^2) sin(beta) turns the
   oscillatory tail exponential into a purely decaying one, so the tail
@@ -541,6 +544,39 @@ def _pole_cache_impl(medium, k_split):
     return tuple(find_real_poles(medium, (1e-6 * medium.k_min, k_split)))
 
 
+# Offsets delta above k_l at which (lam - k_l) sigma is sampled: each is a
+# quarter of the last, so sqrt(delta) halves from one to the next
+_BRANCH_OFFSETS = (1e-8, 2.5e-9, 6.25e-10)
+
+
+def has_branch_pole(medium, cid):
+    """Whether sigma has a simple pole at the branch point k_t.
+
+    For t = s in an interior layer the up and down waves of that layer
+    coincide at h_t = 0, so det A vanishes there and each of the four
+    components behaves as R_c / (lambda - k_t).  That pole is not
+    integrable; ``evaluate_component`` takes its principal value.
+    """
+    return cid.t == cid.s and 0 < cid.t < medium.n_interfaces
+
+
+@lru_cache(maxsize=256)
+def _branch_residue(medium, cid):
+    """R_c = lim (lambda - k_t) sigma(lambda) at the branch point k_t.
+
+    sigma expands in powers of h_t ~ sqrt(lambda - k_t), so the values at
+    the offsets ``_BRANCH_OFFSETS`` (solved with the exact offset) are
+    Richardson-extrapolated in sqrt(delta): the first stage removes the
+    sqrt(delta) term, the second the delta term.
+    """
+    k = medium.wavenumbers[cid.t]
+    delta = np.array(_BRANCH_OFFSETS)
+    g = delta * sigma_component_batch(medium, k + delta, cid, dinfo=(k, delta))
+    v01 = 2 * g[1] - g[0]
+    v12 = 2 * g[2] - g[1]
+    return complex((4 * v12 - v01) / 3)
+
+
 def component_geometry(medium, cid, x, xp):
     """Vertical offsets (alpha, beta) and horizontal separation X."""
     cid.validate(medium.n_interfaces)
@@ -652,6 +688,9 @@ def evaluate_component(medium, cid, x, xp, spec=None):
         )
 
     poles = [p for p in _pole_cache(medium, k_split) if p.location < lam_max]
+    bpoles = []
+    if has_branch_pole(medium, cid):
+        bpoles = [(kt, _branch_residue(medium, cid))]
 
     def sig(lam, dinfo=None):
         return sigma_component_batch(medium, lam, cid, dinfo=dinfo)
@@ -667,9 +706,10 @@ def evaluate_component(medium, cid, x, xp, spec=None):
         # and the perturbed root crosses from the opposite half-plane
         plist = [(p.location, p.residues[cid], p.side) for p in poles]
         plist += [(-p.location, -p.residues[cid], -p.side) for p in poles]
+        bpoles += [(-loc, -res) for loc, res in bpoles]
         total, _ = _integrate_with_windows(
             f_plain, e_full, -lam_max, lam_max, branch, plist, X, spec,
-            atol=component_abs_floor(spec.rtol, H),
+            atol=component_abs_floor(spec.rtol, H), bpoles=bpoles,
         )
         return total
 
@@ -682,19 +722,69 @@ def evaluate_component(medium, cid, x, xp, spec=None):
     plist = [(p.location, p.residues[cid], p.side) for p in poles]
     total, _ = _integrate_with_windows(
         f_plain, e_sym, 0.0, lam_max, branch, plist, X, spec,
-        atol=component_abs_floor(spec.rtol, H),
+        atol=component_abs_floor(spec.rtol, H), bpoles=bpoles,
     )
     return total
 
 
-def _integrate_with_windows(f_plain, efac, lo, hi, branch, plist, X, spec, atol=0.0):
+# Half-width of the core around a surface-wave pole, relative to its window
+_POLE_CORE = 1e-3
+_GL8 = np.polynomial.legendre.leggauss(8)
+
+
+def _minus_branch_poles(f, brs):
+    """f minus r / (lambda - loc) for every (loc, r) in brs.
+
+    On a panel anchored at loc the offset is the exact dinfo delta: the
+    rounded lambda of a node there may equal loc.
+    """
+
+    def g(lam, dinfo=None):
+        val = f(lam, dinfo)
+        for loc, r in brs:
+            off = dinfo[1] if dinfo is not None and dinfo[0] == loc else lam - loc
+            val = val - r / off
+        return val
+
+    return g
+
+
+def _gauss_legendre(f, a, b):
+    """Fixed 8-point Gauss-Legendre rule of f over [a, b]; no node at the middle."""
+    x, w = _GL8
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    lam = mid + half * x
+    fx = f(lam)
+    if not np.isfinite(fx).all():
+        raise _non_finite(lam)
+    return complex(half * np.dot(w, fx))
+
+
+def _integrate_with_windows(
+    f_plain, efac, lo, hi, branch, plist, X, spec, atol=0.0, bpoles=()
+):
     """Adaptive integral of sigma*efac with pole windows carved out.
 
     plist holds (location, sigma residue, side) triples.  Inside each
     window the simple pole of the full integrand is subtracted (its
     principal value over the symmetric window vanishes) and the
-    half-residue i*pi term is added with the stored side.
+    half-residue i*pi term is added with the stored side.  The stored
+    location is the pole only to about an ulp, which leaves a spurious
+    r * ulp / (lambda - lambda_nu)^2 in the subtracted integrand;
+    refinement would chase it until a node rounds onto the pole.  So a
+    core of ``_POLE_CORE`` times the window width on each side of the
+    pole takes a fixed Gauss-Legendre rule instead, whose nodes stay
+    clear of it.
+
+    bpoles holds (branch point, sigma residue) pairs of the poles at
+    branch points (see ``has_branch_pole``).  Each is subtracted from
+    the integrand over all of [lo, hi] and its principal value
+    r ln((hi - loc) / (loc - lo)) is added; no +-i pi term, because the
+    four components' residues cancel in the Green's function.
     """
+    brs = [(loc, res * efac(np.array([loc]))[0]) for loc, res in bpoles]
+    if brs:
+        f_plain = _minus_branch_poles(f_plain, brs)
     plist = sorted(plist)
     windows = _carve_pole_windows((lo, hi), [p[0] for p in plist])
     segments = []
@@ -702,16 +792,20 @@ def _integrate_with_windows(f_plain, efac, lo, hi, branch, plist, X, spec, atol=
     for a, b in zip(cuts[:-1:2], cuts[1::2]):
         segments += _build_segments(f_plain, a, b, branch, X)
     pole_term = 0.0 + 0.0j
+    for loc, r in brs:
+        pole_term += r * math.log((hi - loc) / (loc - lo))
     for (lam_nu, res_sigma, side), (wa, wb) in zip(plist, windows):
         r_full = res_sigma * efac(np.array([lam_nu]))[0]
 
         def f_sub(lam, dinfo=None, _r=r_full, _l=lam_nu):
             return f_plain(lam, dinfo) - _r / (lam - _l)
 
-        # split at the pole so it stays a panel edge (GK nodes are interior)
-        segments += _build_segments(f_sub, wa, lam_nu, branch, X, min_extra=1)
-        segments += _build_segments(f_sub, lam_nu, wb, branch, X, min_extra=1)
+        # the core holds no branch point: its rule assumes f_sub smooth
+        core = min(_POLE_CORE * (wb - wa), 0.1 * min(abs(lam_nu - c) for c in branch))
+        segments += _build_segments(f_sub, wa, lam_nu - core, branch, X, min_extra=1)
+        segments += _build_segments(f_sub, lam_nu + core, wb, branch, X, min_extra=1)
         pole_term += side * 1j * math.pi * r_full
+        pole_term += _gauss_legendre(f_sub, lam_nu - core, lam_nu + core)
     result = adaptive_segments(
         segments, spec.rtol, atol=atol, max_panels=spec.max_panels
     )

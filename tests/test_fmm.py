@@ -420,6 +420,36 @@ class TestFmmPlan:
         with pytest.raises(DomainError):
             FmmPlan(SLAB, [[0.1, 0.3]], [[0.2, 0.4]])
 
+    def test_shared_interior_layer_rejected_up_front(self, monkeypatch):
+        # sigma of u[11] has a pole at k_1: refused before any operator
+        # is built, with the component named and direct_sum pointed to
+        def no_rule(*args, **kwargs):
+            raise AssertionError("an operator was built")
+
+        monkeypatch.setattr(fmm, "FrozenComponentRule", no_rule)
+        src = SourceSet(np.array([[0.0, -0.5], [1.0, 0.5]]), np.array([1.0, 1.0]))
+        for call in (
+            lambda: FmmPlan(THREE_LAYER, src.xy, [[0.3, -0.4]]),
+            lambda: evaluate_all(THREE_LAYER, src, np.array([[0.3, -0.4]])),
+        ):
+            with pytest.raises(DomainError, match=r"u\[11\].*direct_sum"):
+                call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_direct_sum_takes_middle_layer_points(self):
+        rng = np.random.default_rng(5)
+        xy = np.column_stack([rng.uniform(-1, 1, 4), rng.uniform(-0.9, -0.1, 4)])
+        xy[3, 1] = 0.6  # one source in layer 0
+        src = SourceSet(xy, rng.uniform(0.5, 1.5, 4))
+        tgt = np.column_stack([rng.uniform(-1, 1, 3), rng.uniform(-0.9, -0.1, 3)])
+        got = direct_sum(THREE_LAYER, src, tgt)
+        lossy = ContourSpec(rtol=1e-9, pole_mode="perturbed")
+        want = [
+            sum(q * green(THREE_LAYER, tuple(x), tuple(xp), lossy) for xp, q in zip(xy, src.q))
+            for x in tgt
+        ]
+        assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
+
 
 _RUN_ONCE = """
 import sys

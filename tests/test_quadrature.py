@@ -145,6 +145,125 @@ class TestEvaluateComponent:
         )
         assert abs(vc - vp) < 1e-4 * abs(vc)
 
+    # values at the commit before branch-point poles and pole cores: a
+    # medium with no interior layer and no pole takes neither
+    PINNED_TWO_LAYER = [
+        ((0.3, 0.7), (0.0, 0.45), False, -0.0005043277984780423 - 0.029232623475799337j),
+        ((0.3, 0.7), (0.0, 0.45), True, -0.0005043277984780205 - 0.02923262347579933j),
+        ((0.4, -0.9), (-0.3, 0.35), False, -0.1320591719831276 + 0.07078662497360275j),
+        ((0.4, -0.9), (-0.3, 0.35), True, -0.13205917198315179 + 0.07078662497360273j),
+        ((-1.2, -0.5), (0.6, -1.1), False, -0.024011895497940108 - 0.014340383488238607j),
+        ((-1.2, -0.5), (0.6, -1.1), True, -0.02401189549794007 - 0.014340383488238602j),
+        ((0.9, 0.2), (0.1, -0.25), False, -0.05164357616674868 + 0.17248616765012814j),
+        ((0.9, 0.2), (0.1, -0.25), True, -0.05164357616676692 + 0.1724861676501281j),
+    ]
+
+    @pytest.mark.parametrize("x, xp, full_line, want", PINNED_TWO_LAYER)
+    def test_two_layer_outputs_pinned(self, x, xp, full_line, want):
+        (cid,) = admissible_components(
+            int(x[1] < 0), int(xp[1] < 0), TWO_LAYER.n_interfaces
+        )
+        spec = ContourSpec(rtol=1e-10, full_line=True) if full_line else None
+        assert evaluate_component(TWO_LAYER, cid, x, xp, spec) == want
+
+
+def _panel_counts(monkeypatch):
+    """n_panels of every adaptive_segments run, in call order."""
+    counts = []
+    run = quadrature.adaptive_segments
+
+    def counted(*args, **kwargs):
+        res = run(*args, **kwargs)
+        counts.append(res.n_panels)
+        return res
+
+    monkeypatch.setattr(quadrature, "adaptive_segments", counted)
+    return counts
+
+
+# slab-to-slab pairs: the branch point k_1 = 2 of the guided slab lies
+# inside the window of a surface-wave pole
+SLAB_PAIRS = [
+    ((-1.3771612536454567, -0.6739785624851448), (-1.2504953460050827, -0.8473881581392982)),
+    ((1.0139079530986348, -0.8670686561218152), (1.4913819725970825, -0.290925114428805)),
+    ((-1.5821307262760518, -0.10673194982803524), (1.2076950836306275, -0.9166872480215301)),
+    ((0.6444880526252215, -0.5623356153173845), (1.9308396180764564, -0.28979995625849175)),
+]
+THREE_LAYER_PAIR = ((0.3, -0.4), (0.0, -0.6))
+LOSSY = ContourSpec(rtol=1e-9, pole_mode="perturbed")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBranchPointPole:
+    """t = s components in an interior layer: sigma ~ R_c / (lambda - k_l)."""
+
+    def test_only_interior_same_layer_components(self):
+        assert not any(
+            quadrature.has_branch_pole(THREE_LAYER, cid)
+            for t, s in ((0, 0), (2, 2), (0, 1), (1, 2), (2, 1))
+            for cid in admissible_components(t, s, 2)
+        )
+        assert all(
+            quadrature.has_branch_pole(THREE_LAYER, cid)
+            for cid in admissible_components(1, 1, 2)
+        )
+        assert not quadrature.has_branch_pole(TWO_LAYER, UPUP)
+
+    @pytest.mark.parametrize("medium", [SLAB, THREE_LAYER], ids=["slab", "three"])
+    def test_residues_cancel_across_components(self, medium):
+        res = [quadrature._branch_residue(medium, c) for c in admissible_components(1, 1, 2)]
+        assert min(abs(r) for r in res) > 1e-4
+        assert abs(sum(res)) < 1e-9 * max(abs(r) for r in res)
+
+    @pytest.mark.parametrize("x, xp", SLAB_PAIRS)
+    def test_slab_to_slab_matches_lossy_oracle(self, monkeypatch, x, xp):
+        # one principal-value component differs from its lossy limit by
+        # +-i pi r_b; those terms cancel in the sum, so compare green
+        counts = _panel_counts(monkeypatch)
+        got = green(SLAB, x, xp)
+        assert len(counts) == 4 and max(counts) < 300
+        want = green(SLAB, x, xp, LOSSY)
+        assert abs(got - want) < 1e-4 * abs(want)
+
+    def test_three_layer_middle_matches_lossy_oracle(self, monkeypatch):
+        counts = _panel_counts(monkeypatch)
+        got = green(THREE_LAYER, *THREE_LAYER_PAIR, ContourSpec(rtol=1e-8))
+        assert len(counts) == 4 and max(counts) < 300
+        want = green(THREE_LAYER, *THREE_LAYER_PAIR, ContourSpec(rtol=1e-8, pole_mode="perturbed"))
+        assert abs(got - want) < 1e-8 * abs(want)
+
+    def test_full_line_takes_the_mirror_term(self):
+        for cid in admissible_components(1, 1, 2):
+            half = evaluate_component(THREE_LAYER, cid, *THREE_LAYER_PAIR)
+            full = evaluate_component(
+                THREE_LAYER, cid, *THREE_LAYER_PAIR, ContourSpec(full_line=True)
+            )
+            assert abs(half - full) < 1e-8 * abs(half)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cid, x, xp",
+    [
+        (
+            ReactionComponentId(0, 1, Dir.UP, Dir.UP),
+            (-1.516979707568567, 0.4815422484149828),
+            (0.05317172479381549, -0.48347829143132615),
+        ),
+        (
+            ReactionComponentId(1, 2, Dir.DOWN, Dir.DOWN),
+            (-0.892890366208414, -0.09619671674977426),
+            (0.9131123992338419, -1.563207428478718),
+        ),
+    ],
+)
+def test_pole_window_core_keeps_nodes_off_the_pole(cid, x, xp):
+    # pairs whose pole window refined onto the rounded pole location
+    # until the subtracted integrand turned non-finite
+    got = evaluate_component(SLAB, cid, x, xp)
+    want = evaluate_component(SLAB, cid, x, xp, LOSSY)
+    assert abs(got - want) < 1e-4 * abs(want)
+
 
 class TestGreen:
     def test_homogeneous_reduces_to_free_space(self):

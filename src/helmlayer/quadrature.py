@@ -668,7 +668,14 @@ def component_abs_floor(rtol, H):
 
 
 def evaluate_component(medium, cid, x, xp, spec=None):
-    """One reaction-field component integral for a target/source pair."""
+    """One reaction-field component integral for a target/source pair.
+
+    A component with a pole at its branch point (``has_branch_pole``)
+    is the principal value there.  Its lossy limit is that plus
+    i pi R_c E(k_t), since the lossy pole k_t (1 + i eps) lies above the
+    axis; those terms cancel in the sum of the four components of the
+    layer, which ``green`` forms.
+    """
     spec = spec or ContourSpec()
     alpha, beta, X = component_geometry(medium, cid, x, xp)
     k_split = spec.resolve_split(medium)
@@ -729,7 +736,10 @@ def evaluate_component(medium, cid, x, xp, spec=None):
 
 # Half-width of the core around a surface-wave pole, relative to its window
 _POLE_CORE = 1e-3
-_GL8 = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre nodes and weights (ascending), for the core
+_XGL8 = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_WGL8 = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+_GL8 = (np.concatenate([-_XGL8[::-1], _XGL8]), np.concatenate([_WGL8[::-1], _WGL8]))
 
 
 def _minus_branch_poles(f, brs):

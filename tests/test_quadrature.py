@@ -232,6 +232,15 @@ class TestBranchPointPole:
         want = green(THREE_LAYER, *THREE_LAYER_PAIR, ContourSpec(rtol=1e-8, pole_mode="perturbed"))
         assert abs(got - want) < 1e-8 * abs(want)
 
+    def test_component_is_lossy_limit_less_half_residue(self):
+        # the lossy pole k_1 (1 + i eps) lies above the axis: +i pi r_b
+        (x, _), (xp, _) = THREE_LAYER_PAIR
+        for cid in admissible_components(1, 1, 2):
+            pv = evaluate_component(THREE_LAYER, cid, *THREE_LAYER_PAIR)
+            lossy = evaluate_component(THREE_LAYER, cid, *THREE_LAYER_PAIR, LOSSY)
+            r_b = quadrature._branch_residue(THREE_LAYER, cid) * 2 * math.cos(1.5 * (x - xp))
+            assert abs(lossy - (pv + 1j * math.pi * r_b)) < 1e-8 * abs(r_b)
+
     def test_full_line_takes_the_mirror_term(self):
         for cid in admissible_components(1, 1, 2):
             half = evaluate_component(THREE_LAYER, cid, *THREE_LAYER_PAIR)

@@ -51,6 +51,7 @@ from .quadrature import (
     SigmaMemo,
     adaptive_family,
     _build_segments,
+    _pole_cache,
     component_abs_floor,
     tail_cutoff,
 )
@@ -369,8 +370,6 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
 
 
 def _check_pole_free(medium, spec):
-    from .quadrature import _pole_cache
-
     if _pole_cache(medium, spec.resolve_split(medium)):
         raise DomainError(
             "expansion integrals currently require a pole-free medium; "
@@ -594,18 +593,21 @@ def fs_m2m(fsme, new_center):
     return FreeSpaceME(tuple(new_center), fsme.k, coeffs, fsme.radius + snorm)
 
 
+def _fs_m2l_kernel(b, k, nmax):
+    """(i/4) O_n(b) = (i/4) H_n(k |b|) e^{i n arg b} for |n| <= nmax."""
+    h = hankel1_orders(np.array([k * math.hypot(*b)]), nmax)[:, 0]
+    n = np.arange(-nmax, nmax + 1)
+    return 0.25j * h * np.exp(1j * n * math.atan2(b[1], b[0]))
+
+
 def fs_m2l(fsme, local_center, M, c0=2.0):
     """Outgoing-to-regular translation via O_{p-q}(local - source)."""
     b = (local_center[0] - fsme.center[0], local_center[1] - fsme.center[1])
     bnorm = math.hypot(*b)
     if not bnorm > c0 * fsme.radius:
         raise FarFieldError("centers are not well separated")
-    P = fsme.P
-    nmax = P + M - 2
-    th = math.atan2(b[1], b[0])
-    h = hankel1_orders(np.array([fsme.k * bnorm]), nmax)[:, 0]
-    o = h * np.exp(1j * np.arange(-nmax, nmax + 1) * th)
-    coeffs = 0.25j * (_toeplitz(o, M, P, -1) @ fsme.coeffs)
+    kern = _fs_m2l_kernel(b, fsme.k, fsme.P + M - 2)
+    coeffs = _toeplitz(kern, M, fsme.P, -1) @ fsme.coeffs
     return FreeSpaceLE(tuple(local_center), fsme.k, coeffs, bnorm - fsme.radius)
 
 

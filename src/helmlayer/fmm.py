@@ -84,6 +84,7 @@ from .quadrature import (
     has_branch_pole,
 )
 from .expansions import (
+    _fs_m2l_kernel,
     _toeplitz,
     choose_truncation,
     fs_me,
@@ -91,7 +92,7 @@ from .expansions import (
     me_coeffs,
     regular_orders,
 )
-from .special import bessel_j_orders, hankel1_orders
+from .special import bessel_j_orders
 
 
 @dataclass(frozen=True)
@@ -539,20 +540,13 @@ def _free_space_pass(
     k = medium.wavenumbers[layer]
     tree, leaf_t, leaf_s, near, far = _tree(tgt_xy, src_xy, config)
 
-    # near field: direct Hankel sums; a zero-distance pair adds nothing
-    for b in leaf_t:
-        tl = leaf_t[b]
+    # near field: direct Hankel sums
+    for b, tl in leaf_t.items():
         src_boxes = [s for s in near[b] if s in leaf_s]
         if not src_boxes:
             continue
         sl = np.concatenate([leaf_s[s] for s in src_boxes])
-        ti = np.repeat(tl, sl.shape[0])
-        sj = np.tile(sl, tl.shape[0])
-        r = np.hypot(tgt_xy[ti, 0] - src_xy[sj, 0], tgt_xy[ti, 1] - src_xy[sj, 1])
-        vals = 0.25j * _sp.hankel1(0, k * r)
-        vals[r == 0.0] = 0.0
-        acc = (src_q[sj] * vals).reshape(tl.shape[0], sl.shape[0]).sum(axis=1)
-        out[tgt_idx[tl]] += acc
+        out[tgt_idx[tl]] += _hankel_sum(k, tgt_xy[tl], src_xy[sl], src_q[sl])
 
     P = _pass_order(k, tree, config)
 
@@ -560,16 +554,12 @@ def _free_space_pass(
         return fs_me(src_xy[j], src_q[j], tree.center(b, tree.level), k, P).coeffs
 
     m2l_cache = {}
-    nmax = 2 * P - 2
 
     def far_m2l(lv, b, s):
         key = (lv, b[0] - s[0], b[1] - s[1])
         if key not in m2l_cache:
-            bx = tree.center(b, lv)[0] - tree.center(s, lv)[0]
-            by = tree.center(b, lv)[1] - tree.center(s, lv)[1]
-            h = hankel1_orders(np.array([k * math.hypot(bx, by)]), nmax)[:, 0]
-            n = np.arange(-nmax, nmax + 1)
-            kern = 0.25j * h * np.exp(1j * n * math.atan2(by, bx))
+            cb, cs = tree.center(b, lv), tree.center(s, lv)
+            kern = _fs_m2l_kernel((cb[0] - cs[0], cb[1] - cs[1]), k, 2 * P - 2)
             m2l_cache[key] = _toeplitz(kern, P, P, -1)
         return m2l_cache[key]
 
@@ -630,7 +620,7 @@ class FmmPlan:
     """
 
     def __init__(self, medium, source_xy, targets, config=None):
-        if _pole_cache(medium, 1.2 * medium.k_max + 1.0):
+        if _pole_cache(medium, ContourSpec().resolve_split(medium)):
             raise DomainError(
                 "the fast evaluator requires a pole-free medium (guided modes "
                 "need the pointwise pole-corrected quadrature)"
@@ -675,8 +665,13 @@ class FmmPlan:
 
 
 def direct_sum(medium, sources, targets, rtol=1e-8):
-    """Reference pairwise summation (frozen-rule kernels, O(N^2)).
+    """Reference sum: the FMM near field over one box holding every point.
 
+    Each reaction component is one frozen rule over the whole cloud in
+    separable form (``source_moments``, then ``eval_moments``), which
+    costs O((n_t + n_s) * nodes); the same-layer free-space part is the
+    direct Hankel sum, O(n_t * n_s).  Arrays are built in row blocks of
+    about 200,000 entries.
     A component whose sigma has a pole at a branch point (targets and
     sources in one interior layer) is summed pair by pair through
     ``evaluate_component`` instead.
@@ -695,6 +690,10 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
             src_sel = np.nonzero(s_layers == s)[0]
             sxy = sources.xy[src_sel]
             sq = sources.q[src_sel]
+            x_lo = min(np.min(txy[:, 0]), np.min(sxy[:, 0]))
+            x_hi = max(np.max(txy[:, 0]), np.max(sxy[:, 0]))
+            # abscissae from the middle of the x span keep lam * x small
+            x_ref = 0.5 * (x_lo + x_hi)
             for cid in admissible_components(t, s, L):
                 if has_branch_pole(medium, cid):
                     out[tgt_sel] += _pointwise_sum(medium, cid, txy, sxy, sq, rtol)
@@ -703,42 +702,38 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
                 d_s = relevant_interface(medium, cid.s, cid.dir_s)
                 alphas = cid.dir_t.tau * (txy[:, 1] - d_t)
                 betas = cid.dir_s.tau * (sxy[:, 1] - d_s)
-                x_span = float(
-                    max(np.max(txy[:, 0]), np.max(sxy[:, 0]))
-                    - min(np.min(txy[:, 0]), np.min(sxy[:, 0]))
-                )
-                rule = FrozenComponentRule(
-                    medium,
-                    cid,
-                    (float(alphas.min()), float(alphas.max())),
-                    (float(betas.min()), float(betas.max())),
-                    x_span,
-                    rtol=rtol,
-                )
-                nt, ns = txy.shape[0], sxy.shape[0]
-                block = 200_000 // max(ns, 1) + 1
-                for i0 in range(0, nt, block):
-                    i1 = min(i0 + block, nt)
-                    ti = np.repeat(np.arange(i0, i1), ns)
-                    sj = np.tile(np.arange(ns), i1 - i0)
-                    vals = rule.eval_batch(
-                        alphas[ti], betas[sj], txy[ti, 0] - sxy[sj, 0]
+                a_range = (float(alphas.min()), float(alphas.max()))
+                b_range = (float(betas.min()), float(betas.max()))
+                x_span = float(x_hi - x_lo)
+                rule = FrozenComponentRule(medium, cid, a_range, b_range, x_span, rtol)
+                C = S = 0.0
+                for j in _row_blocks(sxy.shape[0], rule.n_nodes):
+                    c_j, s_j = rule.source_moments(betas[j], sxy[j, 0] - x_ref, sq[j])
+                    C, S = C + c_j, S + s_j
+                for i in _row_blocks(txy.shape[0], rule.n_nodes):
+                    out[tgt_sel[i]] += rule.eval_moments(
+                        alphas[i], txy[i, 0] - x_ref, C, S
                     )
-                    acc = (sq[sj] * vals).reshape(i1 - i0, ns).sum(axis=1)
-                    out[tgt_sel[i0:i1]] += acc
             if s == t:
-                nt, ns = txy.shape[0], sxy.shape[0]
                 k = medium.wavenumbers[t]
-                block = 200_000 // max(ns, 1) + 1
-                for i0 in range(0, nt, block):
-                    i1 = min(i0 + block, nt)
-                    dx = txy[i0:i1, 0][:, None] - sxy[None, :, 0]
-                    dy = txy[i0:i1, 1][:, None] - sxy[None, :, 1]
-                    r = np.hypot(dx, dy)
-                    vals = 0.25j * _sp.hankel1(0, k * r)
-                    vals[r == 0.0] = 0.0
-                    out[tgt_sel[i0:i1]] += (sq[None, :] * vals).sum(axis=1)
+                for i in _row_blocks(txy.shape[0], sxy.shape[0]):
+                    out[tgt_sel[i]] += _hankel_sum(k, txy[i], sxy, sq)
     return out
+
+
+def _row_blocks(n_rows, n_cols):
+    """Row slices whose (rows, n_cols) arrays hold about 200,000 entries."""
+    step = 200_000 // max(n_cols, 1) + 1
+    return [slice(i0, i0 + step) for i0 in range(0, n_rows, step)]
+
+
+def _hankel_sum(k, txy, sxy, q):
+    """sum_j q_j (i/4) H_0(k |x_i - x_j|) at every x_i; r = 0 adds nothing."""
+    d = txy[:, None, :] - sxy[None, :, :]
+    r = np.hypot(d[..., 0], d[..., 1])
+    vals = 0.25j * _sp.hankel1(0, k * r)
+    vals[r == 0.0] = 0.0
+    return (q[None, :] * vals).sum(axis=1)
 
 
 def _pointwise_sum(medium, cid, txy, sxy, q, rtol):

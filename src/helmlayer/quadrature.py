@@ -1216,9 +1216,9 @@ class FrozenComponentRule:
     sin lam x sin lam x': ``source_moments`` folds a set of sources into
     two per-node vectors and ``eval_moments`` applies them to targets, so
     a sum over n_t targets and n_s sources costs O((n_t + n_s) * nodes)
-    exponentials.  That is what FMM near fields use.  ``eval_batch`` and
-    ``eval_one`` evaluate pair by pair and are the oracle for it (and the
-    kernel of ``direct_sum``).  Requires a pole-free medium (shipped FMM
+    exponentials.  That is what FMM near fields and ``direct_sum`` use.
+    ``eval_batch`` and ``eval_one`` evaluate pair by pair and are the
+    oracle for it.  Requires a pole-free medium (shipped FMM
     configurations are checked for that).
     """
 

@@ -38,13 +38,13 @@ SLAB = acoustic((0.0, -1.0), (1.0, 2.0, 1.0))
 THREE_LAYER = acoustic((0.0, -1.0), (1.0, 1.5, 2.0))
 
 
-def near_interface_cloud(n, rng, gap=0.02):
+def near_interface_cloud(n, rng, gap=0.02, half_width=2.0):
     """Half of the points on each side of the interface, the closest at gap."""
 
     def side(m, sign):
         ys = sign * (gap + rng.uniform(0.0, 1.0, m))
         ys[0] = sign * gap
-        return np.column_stack([rng.uniform(-2.0, 2.0, m), ys])
+        return np.column_stack([rng.uniform(-half_width, half_width, m), ys])
 
     src = np.vstack([side(n // 2, 1.0), side(n - n // 2, -1.0)])
     tgt = np.vstack([side(n // 2, 1.0), side(n - n // 2, -1.0)])
@@ -269,10 +269,19 @@ class TestEquivalence:
 class TestSeparableNearField:
     def test_moments_match_pairwise_per_component(self):
         # the FMM near field: moments of several source groups (leaves)
-        # summed, then applied to the targets, against pairwise eval_batch
+        # summed, then applied to the targets, against pairwise eval_batch;
+        # on x in [-2, 2] and, as direct_sum's one box meets it, on x in
+        # [-8, 8] with abscissae from the middle of the span
         rng = np.random.default_rng(68)
-        src, tgt = near_interface_cloud(60, rng)
-        x_ref = 0.3
+        clouds = [
+            (near_interface_cloud(60, rng), 4.0, 0.3),
+            (near_interface_cloud(40, rng, half_width=8.0), 16.0, 0.0),
+        ]
+        for (src, tgt), x_max, x_ref in clouds:
+            self.check_moments(src, tgt, x_max, x_ref)
+
+    @staticmethod
+    def check_moments(src, tgt, x_max, x_ref):
         for t in (0, 1):
             txy = tgt[(tgt[:, 1] < 0.0) == bool(t)]
             for s in (0, 1):
@@ -288,7 +297,7 @@ class TestSeparableNearField:
                         cid,
                         (alphas.min(), alphas.max()),
                         (betas.min(), betas.max()),
-                        4.0,
+                        x_max,
                         rtol=5e-8,
                     )
                     groups = np.array_split(np.argsort(sxy[:, 0]), 3)

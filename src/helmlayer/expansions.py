@@ -546,8 +546,9 @@ def choose_truncation(ratio, eps, k, rho_geom, C_safe=1e3, P_min=8, c0=2.0):
 
     P = max(ceil((log eps - log C_safe)/log ratio), ceil(e k rho_geom), P_min);
     the first term drives the geometric envelope below eps with a safety
-    constant standing in for the unknown polynomial prefactor, the second
-    is the order at which the envelope becomes valid.
+    constant standing in for the unknown polynomial prefactor (the FMM
+    passes one measured on its own geometry), the second is the order at
+    which the envelope becomes valid.
     """
     if not 0 < ratio <= 1.0 / c0:
         raise DomainError(f"geometry ratio {ratio} must lie in (0, 1/c0]")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,4 +193,8 @@ tolerance = 1e-5
         with open(out / "fmm_bench.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["rel_l2_error"]) < 1e-5
+        point = float(rows[0]["worst_point_error"])
+        assert 0 < point < 1e-5
+        # ||e|| / ||d|| <= sqrt(n) max|e| / max|d| for any two n-vectors
+        assert float(rows[0]["rel_l2_error"]) <= math.sqrt(80) * point
         assert (out / "timings.json").exists()

@@ -345,6 +345,175 @@ class TestSelfInteraction:
         assert abs(f[0] - d[0]) < 1e-8 * abs(d[0])
 
 
+LATTICE_GAP = 0.02  # lattice rows on the interface y = 0 stay this far from it
+
+
+def corner_lattice(grid, lo, hi, delta=1e-3):
+    """Points delta cells inside every leaf-box corner of grid, in box [lo, hi].
+
+    lo and hi are points themselves, so the lattice spans that box.
+    """
+    axes = []
+    for a in (0, 1):
+        edges = grid.origin[a] + grid.cell * np.arange(2**grid.level + 1)
+        v = np.concatenate([edges[:-1] + delta * grid.cell, edges[1:] - delta * grid.cell])
+        axes.append(v[(v >= lo[a]) & (v <= hi[a])])
+    ys = np.sign(axes[1]) * np.maximum(np.abs(axes[1]), LATTICE_GAP)
+    xx, yy = np.meshgrid(axes[0], np.unique(ys))
+    return np.vstack([np.column_stack([xx.ravel(), yy.ravel()]), [lo, hi]])
+
+
+def on_own_grid(place, bounds, level, config, align_y=None):
+    """place(grid) -> (targets, tree points) on the level-`level` grid over bounds.
+
+    The points are what one pass builds its tree over (targets, and the
+    images or sources), so the grid they sit on must be the one
+    ``fmm._tree`` reports for them; that is checked.
+    """
+    grid = QuadTree(np.array(bounds, dtype=float), level, align_y=align_y)
+    tgt, pts = place(grid)
+    tree = fmm._tree(tgt, pts, config, align_y=align_y)[0]
+    assert (tree.level, tree.origin, tree.side) == (level, grid.origin, grid.side)
+    return tgt, pts
+
+
+def lattice_case(name):
+    """(sources, targets, config) of one corner-lattice cloud, span 4, level 4.
+
+    Every target and tree point sits 1e-3 cell inside a leaf-box corner of
+    one pass's grid, so every far pair of that pass has the geometry of
+    its worst case.
+    """
+    upper = ((-2.0, LATTICE_GAP), (2.0, 2.0))
+    lower = ((-2.0, -2.0), (2.0, -LATTICE_GAP))
+    config = FmmConfig(leaf_size=5)
+    if name == "reaction_t_eq_s":
+        # u[00] tree over layer-0 targets and the images (x, -y) of
+        # layer-0 sources: both lattices are one, so sources = targets
+        def place(grid):
+            up = corner_lattice(grid, *upper)
+            return up, up * [1.0, -1.0]
+
+        tgt, _ = on_own_grid(place, [(-2.0, -2.0), (2.0, 2.0)], 4, config, 0.0)
+        src = tgt
+    elif name == "reaction_t_ne_s":
+        # layer-1 sources are their own images for the layer-0 targets
+        def place(grid):
+            return corner_lattice(grid, *upper), corner_lattice(grid, *lower)
+
+        tgt, src = on_own_grid(place, [(-2.0, -2.0), (2.0, 2.0)], 4, config, 0.0)
+    else:
+        # free-space tree of the k = 1.5 layer, targets = sources
+        config = FmmConfig()
+        box = ((-2.0, -4.1), (2.0, -0.1))
+
+        def place(grid):
+            pts = corner_lattice(grid, *box)
+            return pts, pts
+
+        tgt, src = on_own_grid(place, box, 4, config)
+    q = np.random.default_rng(3).uniform(0.5, 1.5, src.shape[0])
+    return SourceSet(src, q), tgt, config
+
+
+class TestCornerLattice:
+    @pytest.mark.parametrize(
+        "name", ["reaction_t_eq_s", "reaction_t_ne_s", "free_space_layer_1"]
+    )
+    def test_error_within_eps_in_l2_and_per_point(self, name):
+        src, tgt, config = lattice_case(name)
+        ref = direct_sum(TWO_LAYER, src, tgt, rtol=1e-10)
+        for eps in (1e-4, 1e-6, 1e-8):
+            f = evaluate_all(TWO_LAYER, src, tgt, FmmConfig(eps=eps, leaf_size=config.leaf_size))
+            assert np.linalg.norm(f - ref) <= eps * np.linalg.norm(ref)
+            assert np.max(np.abs(f - ref)) <= eps * np.max(np.abs(ref))
+
+
+def pass_orders(medium, src_xy, tgt, config):
+    """P of every pass of FmmPlan.evaluate, in its order, from the trees alone."""
+    t_layers = fmm._layers_of_batch(medium, tgt[:, 1])
+    s_layers = fmm._layers_of_batch(medium, src_xy[:, 1])
+    orders = []
+    for t in sorted(set(t_layers.tolist())):
+        txy = tgt[t_layers == t]
+        for s in sorted(set(s_layers.tolist())):
+            sxy = src_xy[s_layers == s]
+            for cid in admissible_components(t, s, medium.n_interfaces):
+                images = polarization_image_batch(medium, cid, sxy)
+                d_t = relevant_interface(medium, cid.t, cid.dir_t)
+                tree = fmm._tree(txy, images, config, align_y=d_t)[0]
+                orders.append(fmm._pass_order(medium.wavenumbers[s], tree, config))
+            if s == t:
+                tree = fmm._tree(txy, sxy, config)[0]
+                orders.append(fmm._pass_order(medium.wavenumbers[t], tree, config))
+    return orders
+
+
+class TestTruncationOrder:
+    # the benchmark's fmm_uniform cloud: N = 2000 from random_two_layer_cloud
+    CLOUD = random_two_layer_cloud(TWO_LAYER, 2000, np.random.default_rng(8))
+
+    def test_pass_orders_mirror_the_passes(self, monkeypatch):
+        seen = []
+        order = fmm._pass_order
+
+        def recording(k, tree, config):
+            seen.append(order(k, tree, config))
+            return seen[-1]
+
+        monkeypatch.setattr(fmm, "_pass_order", recording)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, np.random.default_rng(9))
+        config = FmmConfig(eps=1e-4)
+        evaluate_all(TWO_LAYER, src, tgt, config)
+        monkeypatch.undo()
+        assert seen == pass_orders(TWO_LAYER, src.xy, tgt, config)
+
+    @pytest.mark.parametrize(
+        "wavenumbers, want",
+        [
+            # geometric term: 8, 11, 15, 19 at c0 = 2 (ratio 0.308)
+            ((1.0, 1.5), {1e-4: [8] * 6, 1e-6: [11] * 6, 1e-8: [15] * 6, 1e-10: [19] * 6}),
+            # onset term ceil(e k rho_geom) binds: 16 and 24 on the
+            # reaction trees (k_s = 3, 4.5), 13 and 20 on the smaller
+            # free-space trees, until the geometric term passes them
+            (
+                (3.0, 4.5),
+                {
+                    1e-4: [16, 13, 24, 16, 24, 20],
+                    1e-6: [16, 13, 24, 16, 24, 20],
+                    1e-8: [16, 15, 24, 16, 24, 20],
+                    1e-10: [19, 19, 24, 19, 24, 20],
+                },
+            ),
+        ],
+        ids=["benchmark_medium", "larger_k"],
+    )
+    def test_pinned_orders_on_the_benchmark_cloud(self, wavenumbers, want):
+        # passes in FmmPlan.evaluate order: u[00], free space in layer 0,
+        # u[01], u[10], u[11], free space in layer 1
+        medium = acoustic((0.0,), wavenumbers)
+        src, tgt = self.CLOUD
+        got = {eps: pass_orders(medium, src.xy, tgt, FmmConfig(eps=eps)) for eps in want}
+        assert got == want
+        tight = [got[eps] for eps in sorted(want, reverse=True)]
+        assert all(p <= q for a, b in zip(tight, tight[1:]) for p, q in zip(a, b))
+
+    def test_c0_below_1_83_uses_its_own_ratio(self):
+        # c0 = 1.5 gives near radius 1, whose worst-case ratio is 0.547
+        # (> 1/2, the validity limit at c0 = 2)
+        rng = np.random.default_rng(78)
+        src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
+        ratio = math.sqrt(0.5) / (2 - math.sqrt(0.5))
+        for eps in (1e-6, 1e-8):
+            config = FmmConfig(eps=eps, c0=1.5)
+            P = math.ceil(math.log(eps / fmm._ORDER_PREFACTOR) / math.log(ratio))
+            assert min(pass_orders(TWO_LAYER, src.xy, tgt, config)) >= P
+            f = evaluate_all(TWO_LAYER, src, tgt, config)
+            d = direct_sum(TWO_LAYER, src, tgt, rtol=eps * 1e-2)
+            assert np.linalg.norm(f - d) <= eps * np.linalg.norm(d)
+            assert np.max(np.abs(f - d)) <= eps * np.max(np.abs(d))
+
+
 def _count_builds(monkeypatch):
     """Counters on the builders the FMM reaches through its module names."""
     counts = {"m2l": 0, "rule": 0, "shift": 0}

@@ -51,7 +51,7 @@ from .quadrature import (
     SigmaMemo,
     adaptive_family,
     _build_segments,
-    _pole_cache,
+    _require_pole_free,
     component_abs_floor,
     tail_cutoff,
 )
@@ -369,18 +369,10 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
     return out
 
 
-def _check_pole_free(medium, spec):
-    if _pole_cache(medium, spec.resolve_split(medium)):
-        raise DomainError(
-            "expansion integrals currently require a pole-free medium; "
-            "evaluate_component handles guided modes pointwise"
-        )
-
-
 def me_expansion_functions(medium, cid, x, x_c, P, spec=None):
     """I_p(x, x_c) for all |p| < P (shared sigma samples across orders)."""
     spec = spec or ContourSpec()
-    _check_pole_free(medium, spec)
+    _require_pole_free(medium, spec)
     geometry = component_geometry_centers(medium, cid, x, x_c)
     return _power_family(medium, cid, [geometry], _orders(P), [0], spec)[0][0]
 
@@ -416,7 +408,7 @@ def le_coeffs_direct(medium, cid, x_c_l, sources, strengths, M, spec=None):
     """L_m as the sum of every source's own L_m (the direct,
     translation-free route); the sources' integrals run as one family."""
     spec = spec or ContourSpec()
-    _check_pole_free(medium, spec)
+    _require_pole_free(medium, spec)
     cid.validate(medium.n_interfaces)
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     k_t = medium.wavenumbers[cid.t]
@@ -487,7 +479,7 @@ def m2l_family(medium, cid, centers, M, P, spec=None, sigma=None):
     as in ``m2l``, changes how often sigma is solved, never a matrix.
     """
     spec = spec or ContourSpec()
-    _check_pole_free(medium, spec)
+    _require_pole_free(medium, spec)
     geometries = [
         component_geometry_centers(medium, cid, x_c_l, x_c) for x_c_l, x_c in centers
     ]

@@ -79,7 +79,7 @@ from .quadrature import (
     ContourSpec,
     FrozenComponentRule,
     SigmaMemo,
-    _pole_cache,
+    _require_pole_free,
     evaluate_component,
     has_branch_pole,
 )
@@ -644,11 +644,7 @@ class FmmPlan:
     """
 
     def __init__(self, medium, source_xy, targets, config=None):
-        if _pole_cache(medium, ContourSpec().resolve_split(medium)):
-            raise DomainError(
-                "the fast evaluator requires a pole-free medium (guided modes "
-                "need the pointwise pole-corrected quadrature)"
-            )
+        _require_pole_free(medium, ContourSpec())
         self.medium = medium
         self.source_xy = _frozen_points(source_xy)
         self.targets = _frozen_points(targets)

@@ -8,15 +8,17 @@ spectral axis.  The machinery here:
 * sqrt substitution panels on both sides of every branch point +-k_l,
   which absorb the 1/h and h-cusp behavior of the integrand exactly
   (the transformed integrand is analytic in the new variable);
-* surface-wave poles handled by the limiting formula: the simple pole is
-  subtracted inside a symmetric window (where its principal value
-  vanishes) and the half-residue i*pi term is added with the sign fixed
-  by the lossy perturbation, or alternatively the whole integral is run
-  on a slightly lossy medium and Richardson-extrapolated (pole_mode
-  "perturbed", kept as an independent oracle);
-* the simple pole at an interior layer's own branch point, which the
-  components with target and source in that layer carry, subtracted
-  over the whole half line with its principal value added analytically;
+* simple real poles from one list of (location, sigma residue, side)
+  triples, integrated by ``_integrate_with_windows`` alone.  A
+  surface-wave pole (side +-1) is subtracted inside a symmetric window
+  (where its principal value vanishes) and the half-residue i*pi term
+  is added with the sign fixed by the lossy perturbation.  A pole at an
+  interior layer's own branch point (side 0), which the components with
+  target and source in that layer carry, is subtracted over the whole
+  range with its principal value added analytically.  Alternatively the
+  whole integral is run on a slightly lossy medium and
+  Richardson-extrapolated (pole_mode "perturbed", kept as an
+  independent oracle);
 * optional Cagniard--de Hoop tails: the map
   phi(z) = z cos(beta) + i sqrt(z^2 - k^2) sin(beta) turns the
   oscillatory tail exponential into a purely decaying one, so the tail
@@ -544,6 +546,19 @@ def _pole_cache_impl(medium, k_split):
     return tuple(find_real_poles(medium, (1e-6 * medium.k_min, k_split)))
 
 
+def _require_pole_free(medium, spec):
+    """Refuse a medium with surface-wave poles below spec's k_split.
+
+    The expansions, the frozen rule and the FMM do not take those poles
+    yet; ``evaluate_component`` does, through its pole windows.
+    """
+    if _pole_cache(medium, spec.resolve_split(medium)):
+        raise DomainError(
+            "this route requires a pole-free medium; guided modes need the "
+            "pointwise pole-corrected quadrature (evaluate_component, green)"
+        )
+
+
 # Offsets delta above k_l at which (lam - k_l) sigma is sampled: each is a
 # quarter of the last, so sqrt(delta) halves from one to the next
 _BRANCH_OFFSETS = (1e-8, 2.5e-9, 6.25e-10)
@@ -694,42 +709,32 @@ def evaluate_component(medium, cid, x, xp, spec=None):
             medium, cid, alpha, beta, X, spec, lam_max
         )
 
-    poles = [p for p in _pole_cache(medium, k_split) if p.location < lam_max]
-    bpoles = []
+    poles = [
+        (p.location, p.residues[cid], p.side)
+        for p in _pole_cache(medium, k_split)
+        if p.location < lam_max
+    ]
     if has_branch_pole(medium, cid):
-        bpoles = [(kt, _branch_residue(medium, cid))]
-
-    def sig(lam, dinfo=None):
-        return sigma_component_batch(medium, lam, cid, dinfo=dinfo)
+        poles.append((kt, _branch_residue(medium, cid), 0))
 
     if spec.full_line:
-        e_full = _exp_factor_full(medium, cid, alpha, beta, X)
-
-        def f_plain(lam, dinfo=None):
-            return sig(lam, dinfo) * e_full(lam, dinfo)
-
+        efac = _exp_factor_full(medium, cid, alpha, beta, X)
+        lo = -lam_max
         branch = sorted({c * s for c in medium.wavenumbers for s in (1.0, -1.0)})
         # mirror poles: sigma even means residue(-lam_nu) = -residue(+lam_nu)
         # and the perturbed root crosses from the opposite half-plane
-        plist = [(p.location, p.residues[cid], p.side) for p in poles]
-        plist += [(-p.location, -p.residues[cid], -p.side) for p in poles]
-        bpoles += [(-loc, -res) for loc, res in bpoles]
-        total, _ = _integrate_with_windows(
-            f_plain, e_full, -lam_max, lam_max, branch, plist, X, spec,
-            atol=component_abs_floor(spec.rtol, H), bpoles=bpoles,
-        )
-        return total
-
-    e_sym = _exp_factor_half(medium, cid, alpha, beta, X)
+        poles += [(-loc, -res, -side) for loc, res, side in poles]
+    else:
+        efac = _exp_factor_half(medium, cid, alpha, beta, X)
+        lo = 0.0
+        branch = sorted(set(medium.wavenumbers))
 
     def f_plain(lam, dinfo=None):
-        return sig(lam, dinfo) * e_sym(lam, dinfo)
+        return sigma_component_batch(medium, lam, cid, dinfo=dinfo) * efac(lam, dinfo)
 
-    branch = sorted(set(medium.wavenumbers))
-    plist = [(p.location, p.residues[cid], p.side) for p in poles]
     total, _ = _integrate_with_windows(
-        f_plain, e_sym, 0.0, lam_max, branch, plist, X, spec,
-        atol=component_abs_floor(spec.rtol, H), bpoles=bpoles,
+        f_plain, efac, lo, lam_max, branch, poles, X, spec.rtol, spec.max_panels,
+        atol=component_abs_floor(spec.rtol, H),
     )
     return total
 
@@ -771,32 +776,36 @@ def _gauss_legendre(f, a, b):
 
 
 def _integrate_with_windows(
-    f_plain, efac, lo, hi, branch, plist, X, spec, atol=0.0, bpoles=()
+    f_plain, efac, lo, hi, branch, poles, X, rtol, max_panels, atol=0.0
 ):
-    """Adaptive integral of sigma*efac with pole windows carved out.
+    """Adaptive integral of f_plain = sigma*efac over [lo, hi] across its
+    simple real poles; the one routine that subtracts a pole.
 
-    plist holds (location, sigma residue, side) triples.  Inside each
-    window the simple pole of the full integrand is subtracted (its
-    principal value over the symmetric window vanishes) and the
-    half-residue i*pi term is added with the stored side.  The stored
-    location is the pole only to about an ulp, which leaves a spurious
-    r * ulp / (lambda - lambda_nu)^2 in the subtracted integrand;
-    refinement would chase it until a node rounds onto the pole.  So a
-    core of ``_POLE_CORE`` times the window width on each side of the
-    pole takes a fixed Gauss-Legendre rule instead, whose nodes stay
-    clear of it.
+    poles holds (location, sigma residue, side) triples; the integrand's
+    residue there is the sigma residue times efac.  Side +-1 is a
+    surface-wave pole, side 0 a pole at a branch point
+    (``has_branch_pole``), whose principal value is taken.
 
-    bpoles holds (branch point, sigma residue) pairs of the poles at
-    branch points (see ``has_branch_pole``).  Each is subtracted from
-    the integrand over all of [lo, hi] and its principal value
-    r ln((hi - loc) / (loc - lo)) is added; no +-i pi term, because the
-    four components' residues cancel in the Green's function.
+    Around each surface-wave pole a window is carved out.  Inside it the
+    pole is subtracted (its principal value over the symmetric window
+    vanishes) and the half-residue side * i pi term is added.  The
+    stored location is the pole only to about an ulp, which leaves a
+    spurious r * ulp / (lambda - lambda_nu)^2 in the subtracted
+    integrand; refinement would chase it until a node rounds onto the
+    pole.  So a core of ``_POLE_CORE`` times the window width on each
+    side of the pole takes a fixed Gauss-Legendre rule instead, whose
+    nodes stay clear of it.
+
+    A side 0 pole is subtracted from the integrand over all of [lo, hi]
+    and its principal value r ln((hi - loc) / (loc - lo)) is added; no
+    +-i pi term, because the four components' residues cancel in the
+    Green's function.
     """
-    brs = [(loc, res * efac(np.array([loc]))[0]) for loc, res in bpoles]
+    brs = [(loc, res * efac(np.array([loc]))[0]) for loc, res, side in poles if side == 0]
     if brs:
         f_plain = _minus_branch_poles(f_plain, brs)
-    plist = sorted(plist)
-    windows = _carve_pole_windows((lo, hi), [p[0] for p in plist])
+    poles = sorted((p for p in poles if p[2] != 0), key=lambda p: p[0])
+    windows = _carve_pole_windows((lo, hi), [p[0] for p in poles])
     segments = []
     cuts = [lo] + [e for w in windows for e in w] + [hi]
     for a, b in zip(cuts[:-1:2], cuts[1::2]):
@@ -804,21 +813,19 @@ def _integrate_with_windows(
     pole_term = 0.0 + 0.0j
     for loc, r in brs:
         pole_term += r * math.log((hi - loc) / (loc - lo))
-    for (lam_nu, res_sigma, side), (wa, wb) in zip(plist, windows):
+    for (lam_nu, res_sigma, side), (wa, wb) in zip(poles, windows):
         r_full = res_sigma * efac(np.array([lam_nu]))[0]
 
         def f_sub(lam, dinfo=None, _r=r_full, _l=lam_nu):
             return f_plain(lam, dinfo) - _r / (lam - _l)
 
         # the core holds no branch point: its rule assumes f_sub smooth
-        core = min(_POLE_CORE * (wb - wa), 0.1 * min(abs(lam_nu - c) for c in branch))
+        core = min([_POLE_CORE * (wb - wa)] + [0.1 * abs(lam_nu - c) for c in branch])
         segments += _build_segments(f_sub, wa, lam_nu - core, branch, X, min_extra=1)
         segments += _build_segments(f_sub, lam_nu + core, wb, branch, X, min_extra=1)
         pole_term += side * 1j * math.pi * r_full
         pole_term += _gauss_legendre(f_sub, lam_nu - core, lam_nu + core)
-    result = adaptive_segments(
-        segments, spec.rtol, atol=atol, max_panels=spec.max_panels
-    )
+    result = adaptive_segments(segments, rtol, atol=atol, max_panels=max_panels)
     return complex(result.value[0]) + pole_term, result.n_panels
 
 
@@ -920,14 +927,15 @@ def integrate_with_pole(
 ):
     """Limiting integral of h*sigma across one simple real pole.
 
-    Implements: subtract h(lam_nu) sigma_nu / (lam - lam_nu) on a
-    symmetric window around the pole (where its principal value is
-    zero), integrate the rest plainly, and add +-i pi h(lam_nu) sigma_nu
-    with the sign given by pole.side.
+    A front for the pole windows and core rule of ``evaluate_component``
+    (``_integrate_with_windows``): h(lam_nu) sigma_nu / (lam - lam_nu) is
+    subtracted on a symmetric window around the pole (where its
+    principal value is zero), the rest is integrated plainly, and
+    side * i pi h(lam_nu) sigma_nu is added.  pole.side = 0 gives the
+    principal value over the whole interval.
     """
     a, b = interval
-    lam_nu = pole.location
-    if not a < lam_nu < b:
+    if not a < pole.location < b:
         raise DomainError("pole must lie strictly inside the interval")
     if residue is None:
         if np.isscalar(pole.residues):
@@ -935,28 +943,15 @@ def integrate_with_pole(
         else:
             raise DomainError("pass residue= for table-valued PoleInfo")
 
-    def f_plain(lam):
+    def f_plain(lam, dinfo=None):
         return np.asarray(h_fn(lam)) * np.asarray(sigma_fn(lam))
 
-    if residue == 0:
-        segs = _build_segments(f_plain, a, b, [], osc)
-        return complex(adaptive_segments(segs, rtol).value[0])
-
-    h_nu = complex(np.asarray(h_fn(np.array([lam_nu])))[0])
-    w = min(lam_nu - a, b - lam_nu) * (1 - 1e-12)
-
-    def f_sub(lam):
-        return f_plain(lam) - h_nu * residue / (lam - lam_nu)
-
-    segs = []
-    if a < lam_nu - w:
-        segs += _build_segments(f_plain, a, lam_nu - w, [], osc)
-    segs += _build_segments(f_sub, lam_nu - w, lam_nu, [], osc, min_extra=1)
-    segs += _build_segments(f_sub, lam_nu, lam_nu + w, [], osc, min_extra=1)
-    if lam_nu + w < b:
-        segs += _build_segments(f_plain, lam_nu + w, b, [], osc)
-    val = complex(adaptive_segments(segs, rtol).value[0])
-    return val + pole.side * 1j * math.pi * h_nu * residue
+    poles = [(pole.location, residue, pole.side)] if residue != 0 else []
+    total, _ = _integrate_with_windows(
+        f_plain, lambda lam: np.asarray(h_fn(lam)), a, b, [], poles, osc,
+        rtol, ContourSpec.max_panels,
+    )
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,15 +1032,11 @@ class TailResult:
 
 
 def _tail_integrand(medium, cid, alpha, beta_y, sign_x, X):
-    kt = medium.wavenumbers[cid.t]
-    ks = medium.wavenumbers[cid.s]
+    efac = _exp_factor_full(medium, cid, alpha, beta_y, sign_x * X)
 
     def f(lam):
         lamc = np.asarray(lam, dtype=complex)
-        ht = branch_sqrt_arr(hsq(lamc, kt))
-        hs = branch_sqrt_arr(hsq(lamc, ks))
-        sig = sigma_component_batch(medium, lamc, cid)
-        return sig * np.exp(-ht * alpha - hs * beta_y + 1j * lamc * sign_x * X)
+        return sigma_component_batch(medium, lamc, cid) * efac(lamc)
 
     return f
 
@@ -1237,12 +1228,8 @@ class FrozenComponentRule:
         self.cid = cid
         self.rtol = rtol
         spec = ContourSpec(rtol=rtol, k_split=k_split)
+        _require_pole_free(medium, spec)
         k_split = spec.resolve_split(medium)
-        if _pole_cache(medium, k_split):
-            raise DomainError(
-                "FrozenComponentRule requires a pole-free medium; "
-                "use evaluate_component with pole handling instead"
-            )
         kt = medium.wavenumbers[cid.t]
         ks = medium.wavenumbers[cid.s]
         kbar = max(kt, ks)

@@ -205,6 +205,27 @@ class TestM2L:
             m2l(SOFT, UPUP, (0.0, 0.25), X_C, 8, 8, SPEC, source_radius=0.45)
 
 
+# a guided slab: sigma has surface-wave poles on the real axis
+SLAB = acoustic((0.0, -1.0), (1.0, 2.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: me_expansion_functions(SLAB, UPUP, (0.3, 1.9), X_C, 8),
+        lambda: le_coeffs_direct(SLAB, UPUP, (0.3, 1.9), SRC, Q, 8),
+        lambda: m2l(SLAB, UPUP, (0.3, 1.9), X_C, 8, 8),
+        lambda: expansions.m2l_family(SLAB, UPUP, [((0.3, 1.9), X_C)], 8, 8),
+    ],
+    ids=["me_expansion_functions", "le_coeffs_direct", "m2l", "m2l_family"],
+)
+def test_guided_mode_medium_refused(build):
+    # the expansions do not take surface-wave poles yet; the refusal is
+    # the one the frozen rule and the FMM raise
+    with pytest.raises(DomainError, match="requires a pole-free medium"):
+        build()
+
+
 class TestL2L:
     def test_zero_shift_identity(self):
         x_cl = (0.3, 1.9)

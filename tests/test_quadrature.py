@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expi
 
 from helmlayer import quadrature
 from helmlayer.errors import (
@@ -91,6 +92,17 @@ class TestSommerfeldIdentity:
             sommerfeld_identity_check(1.0, (0.0, 0.2), (0.0, 0.5))
 
 
+# slab-to-slab pairs: the branch point k_1 = 2 of the guided slab lies
+# inside the window of a surface-wave pole
+SLAB_PAIRS = [
+    ((-1.3771612536454567, -0.6739785624851448), (-1.2504953460050827, -0.8473881581392982)),
+    ((1.0139079530986348, -0.8670686561218152), (1.4913819725970825, -0.290925114428805)),
+    ((-1.5821307262760518, -0.10673194982803524), (1.2076950836306275, -0.9166872480215301)),
+    ((0.6444880526252215, -0.5623356153173845), (1.9308396180764564, -0.28979995625849175)),
+]
+THREE_LAYER_PAIR = ((0.3, -0.4), (0.0, -0.6))
+
+
 class TestEvaluateComponent:
     def test_image_oracle(self):
         rng = np.random.default_rng(31)
@@ -166,6 +178,27 @@ class TestEvaluateComponent:
         spec = ContourSpec(rtol=1e-10, full_line=True) if full_line else None
         assert evaluate_component(TWO_LAYER, cid, x, xp, spec) == want
 
+    # green at the commit before the one pole list: the slab pairs go
+    # through pole windows, their cores and a branch-point pole, the
+    # three-layer pair through branch-point poles alone
+    PINNED_POLE_PATHS = [
+        (SLAB, *SLAB_PAIRS[0], False, 0.11964302402237562 + 0.2518774390975034j),
+        (SLAB, *SLAB_PAIRS[1], False, -0.1471551588848726 + 0.16612204985873913j),
+        (SLAB, *SLAB_PAIRS[2], False, 0.14387742769342787 - 0.10371096715286221j),
+        (SLAB, *SLAB_PAIRS[3], False, -0.2058974610785423 - 0.04323446052521861j),
+        (THREE_LAYER, *THREE_LAYER_PAIR, False, 0.10190333922252906 + 0.23753298860378103j),
+        (SLAB, *SLAB_PAIRS[0], True, 0.11964302402237556 + 0.2518774390975033j),
+    ]
+
+    @pytest.mark.parametrize(
+        "medium, x, xp, full_line, want",
+        PINNED_POLE_PATHS,
+        ids=["slab0", "slab1", "slab2", "slab3", "three", "slab0-full"],
+    )
+    def test_pole_path_outputs_pinned(self, medium, x, xp, full_line, want):
+        spec = ContourSpec(full_line=True) if full_line else None
+        assert green(medium, x, xp, spec) == want
+
 
 def _panel_counts(monkeypatch):
     """n_panels of every adaptive_segments run, in call order."""
@@ -181,15 +214,6 @@ def _panel_counts(monkeypatch):
     return counts
 
 
-# slab-to-slab pairs: the branch point k_1 = 2 of the guided slab lies
-# inside the window of a surface-wave pole
-SLAB_PAIRS = [
-    ((-1.3771612536454567, -0.6739785624851448), (-1.2504953460050827, -0.8473881581392982)),
-    ((1.0139079530986348, -0.8670686561218152), (1.4913819725970825, -0.290925114428805)),
-    ((-1.5821307262760518, -0.10673194982803524), (1.2076950836306275, -0.9166872480215301)),
-    ((0.6444880526252215, -0.5623356153173845), (1.9308396180764564, -0.28979995625849175)),
-]
-THREE_LAYER_PAIR = ((0.3, -0.4), (0.0, -0.6))
 LOSSY = ContourSpec(rtol=1e-9, pole_mode="perturbed")
 
 
@@ -315,6 +339,7 @@ class TestGreen:
             assert abs(du - dl) < 1e-6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestIntegrateWithPole:
     def test_analytic_half_residue(self):
         pole = PoleInfo(2.0, 1.0 + 0j, +1)
@@ -364,6 +389,21 @@ class TestIntegrateWithPole:
         )
         want = math.log(2.0) + 1j * math.pi  # pv int_0^3 dl/(l-1) = ln 2
         assert abs(val - want) < 1e-9
+
+    @pytest.mark.parametrize(
+        "a, b, c, side",
+        [(0.0, 5.0, 0.7, 1), (0.0, 5.0, 0.7, -1), (0.0, 5.0, 0.7, 0), (0.2, 3.0, 2.6, 1)],
+    )
+    def test_closed_form_exponential(self, a, b, c, side):
+        # h = e^-lam leaves a non-zero integrand once the pole is
+        # subtracted, so the window and its core rule carry the value:
+        # pv int_a^b e^-lam / (lam - c) = e^-c (Ei(c - b) - Ei(c - a))
+        val = integrate_with_pole(
+            lambda l: np.exp(-l), lambda l: 1.0 / (l - c), PoleInfo(c, 1.0 + 0j, side), (a, b)
+        )
+        want = math.exp(-c) * (expi(c - b) - expi(c - a)) + side * 1j * math.pi * math.exp(-c)
+        assert type(val) is complex
+        assert abs(val - want) < 1e-10
 
     def test_pole_outside_interval(self):
         with pytest.raises(DomainError):

@@ -106,9 +106,13 @@ class Segment:
     the variable u with lambda = a + u^2.  'right' mirrors this.  The
     engine hands the integrand plain lambda arrays either way.
 
-    With ``params`` None, f is the integrand of this segment alone and is
-    called once per panel as f(lam) or, on substituted segments,
-    f(lam, dinfo).  Otherwise f is a family integrand shared by the
+    With ``params`` None, f is the integrand of this segment alone, called
+    as f(lam) or, on substituted segments, f(lam, dinfo) with dinfo =
+    (anchor, delta).  lam is a 1-D node array of any length (n panels x
+    15 nodes, back to back) and delta has the same length.  f acts
+    elementwise: it returns the values nodes first, with any trailing
+    shape, and a node's value must not depend on the other nodes of the
+    call.  Otherwise f is a family integrand shared by the
     segments of many integrals, and params is what sets this segment's
     integral apart: f(lam, dinfo, params) gets the nodes of n panels as
     an (n, 15) array, dinfo as None or (anchor, delta) with anchor (n, 1)
@@ -193,20 +197,25 @@ def _non_finite(lam):
 
 
 def _panel(seg, ua, ub):
-    """GK15 value and GK15 - G7 error of one panel.
+    """(val, err) of n panels [ua[i], ub[i]] of one segment, one integrand call.
 
-    seg.f returns the integrand values, nodes first, with any trailing
-    shape.  A family integrand (``seg.params`` set) sees this panel as a
-    batch of one.
+    The panels' nodes form an (n, 15) array; seg.f gets it flattened (and
+    the flattened dinfo offset) and returns the values nodes first, with
+    any trailing shape.  A family integrand (``seg.params`` set) gets the
+    n panels as a batch.  Each panel's values are bitwise those it gives
+    alone, since the integrand acts node by node and ``_dense_sums``
+    sums each panel with a product of its own.
     """
     if seg.params is not None:
-        return _family_sums(seg.f, *_family_nodes([seg], [ua], [ub]), [seg.params])[0]
-    mid = 0.5 * (ua + ub)
+        n = len(ua)
+        return _family_sums(seg.f, *_family_nodes([seg] * n, ua, ub), [seg.params] * n)
+    ua = np.asarray(ua, dtype=float)
+    ub = np.asarray(ub, dtype=float)
     half = 0.5 * (ub - ua)
-    u = mid + half * GK_NODES
-    lam, jac, dinfo = seg.map(u)
-    fx = seg.f(lam) if dinfo is None else seg.f(lam, dinfo)
-    return _dense_sums([fx], jac[None], np.array([half]), lam[None])[0]
+    lam, jac, dinfo = seg.map(0.5 * (ua + ub)[:, None] + half[:, None] * GK_NODES)
+    nodes = lam.ravel()
+    fx = np.asarray(seg.f(nodes) if dinfo is None else seg.f(nodes, (dinfo[0], dinfo[1].ravel())))
+    return _dense_sums(fx.reshape(lam.shape + fx.shape[1:]), jac, half, lam)
 
 
 def _dense_sums(fx, jac, half, lam):
@@ -226,7 +235,8 @@ def _dense_sums(fx, jac, half, lam):
     ik = half[:, None] * np.matmul(GK_WEIGHTS, flat)
     err = np.abs(ik - half[:, None] * np.matmul(G7_WEIGHTS, flat[:, 1::2]))
     shape = fx.shape[2:] or (1,)
-    # each panel gets arrays of its own: adaptive_segments keeps them
+    # the panels of one call share ik and err, so each gets copies of its
+    # own rows: adaptive_segments keeps a panel's values after the others go
     return [(ik[i].reshape(shape).copy(), err[i].reshape(shape).copy()) for i in range(n)]
 
 
@@ -400,13 +410,18 @@ def adaptive_segments(segments, rtol, *, atol=0.0, max_panels=6000):
     in sorted interval order so results are independent of refinement
     history, and the result lists the spans of the live panels.  A split
     panel's entry is dropped: only live panels are ever read again.  One
-    integral, its panels evaluated one ``_panel`` call at a time;
-    ``adaptive_family`` runs many.
+    integral; ``adaptive_family`` runs many.  The panels a refinement
+    step asks for go to ``_panel`` one call per segment: the initial
+    panels of every segment, then the two halves of each split.
     """
     run = _refine(segments, rtol, atol, max_panels, True)
     request = next(run)
     while True:
-        values = [_panel(segments[si], ua, ub) for si, ua, ub in request]
+        values = []
+        # a request lists the panels of one segment side by side
+        for si, panels in itertools.groupby(request, key=lambda p: p[0]):
+            _, ua, ub = zip(*panels)
+            values += _panel(segments[si], ua, ub)
         try:
             request = run.send(values)
         except StopIteration as done:

@@ -677,7 +677,7 @@ class TestWorkCounters:
         # every component has one pass per call, so a repeated key would
         # be a pass solving the same node array twice
         assert len(set(solves)) == len(solves)
-        # at most one solve per panel evaluated alone, plus each frozen
+        # at most one solve per _panel call, plus each frozen
         # rule's final solve over all its nodes (one rule per pass, four
         # passes), plus one per chunk of family panels (the rules' probes
         # and the M2L matrices)

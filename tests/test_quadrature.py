@@ -643,7 +643,7 @@ class TestFrozenRule:
 
     def test_build_takes_its_panels_in_chunks(self, monkeypatch):
         # the probes' panels go to the integrand in family calls of at
-        # most _PANEL_CHUNK panels, none through the one-panel path
+        # most _PANEL_CHUNK panels, none through _panel
         sizes = []
         panels = []
         sums = quadrature._family_sums
@@ -816,7 +816,7 @@ class TestAdaptiveFamily:
             lam, jac, _ = seg.map(u)
             assert np.array_equal(nodes[0][i], lam)
             assert np.array_equal(nodes[1][i], jac)
-            want = quadrature._panel(seg, a, b)
+            (want,) = quadrature._panel(seg, [a], [b])
             assert len(got) == len(want) == 2
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -876,9 +876,112 @@ def test_dense_family_sums_are_bitwise_single_panels(f, layout, n):
     assert len(batch) == n
     for seg, a, b, got in zip(segs, ua, ub, batch):
         alone = Segment(_one_panel(f, seg.params), seg.a, seg.b, seg.sub)
-        want = quadrature._panel(alone, a, b)
+        (want,) = quadrature._panel(alone, [a], [b])
         ref = _tensordot_sums(alone, a, b)
         for g, w, r in zip(got, want, ref):
             assert g.shape == w.shape == r.shape
             assert np.array_equal(g, w)
             assert np.array_equal(w, r)
+
+
+# ---------------------------------------------------------------------------
+# one integrand call per segment and refinement request
+# ---------------------------------------------------------------------------
+
+
+def _panel_by_panel(segments, rtol, *, atol=0.0, max_panels=6000):
+    """``adaptive_segments`` with one integrand call per panel.
+
+    The reference for its one call per segment and request: the same
+    refinement, each panel mapped, evaluated and summed on its own.
+    """
+    run = quadrature._refine(segments, rtol, atol, max_panels, True)
+    request = next(run)
+    while True:
+        values = [_tensordot_sums(segments[si], ua, ub) for si, ua, ub in request]
+        try:
+            request = run.send(values)
+        except StopIteration as done:
+            return done.value
+
+
+def _recorded_runs(monkeypatch, adaptive):
+    """(segments, QuadResult) of every adaptive_segments run, adaptive in its place."""
+    runs = []
+
+    def recorded(segments, *args, **kwargs):
+        runs.append((segments, adaptive(segments, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(quadrature, "adaptive_segments", recorded)
+    return runs
+
+
+SEGMENT_CALL_CASES = [
+    (TWO_LAYER, ReactionComponentId(1, 0, Dir.DOWN, Dir.UP), (0.4, -0.9), (-0.3, 0.35), None),
+    # surface-wave windows with Gauss-Legendre cores
+    (
+        SLAB,
+        ReactionComponentId(0, 1, Dir.UP, Dir.UP),
+        (-1.516979707568567, 0.4815422484149828),
+        (0.05317172479381549, -0.48347829143132615),
+        None,
+    ),
+    # the branch-point pole, subtracted on the panels anchored at k_1
+    (THREE_LAYER, admissible_components(1, 1, 2)[0], *THREE_LAYER_PAIR, None),
+    (SLAB, admissible_components(1, 1, 2)[0], *SLAB_PAIRS[0], ContourSpec(full_line=True)),
+    (SLAB, UPUP, (0.9, 0.4), (0.0, 0.6), LOSSY),
+]
+
+
+@pytest.mark.parametrize(
+    "medium, cid, x, xp, spec",
+    SEGMENT_CALL_CASES,
+    ids=["two-layer", "slab-windows", "three-middle", "slab-full-line", "slab-perturbed"],
+)
+def test_segment_calls_are_bitwise_panel_calls(monkeypatch, medium, cid, x, xp, spec):
+    runs = _recorded_runs(monkeypatch, adaptive_segments)
+    got = evaluate_component(medium, cid, x, xp, spec)
+    ref_runs = _recorded_runs(monkeypatch, _panel_by_panel)
+    want = evaluate_component(medium, cid, x, xp, spec)
+    assert got == want
+    assert len(runs) == len(ref_runs) > 0
+    for (_, res), (_, ref) in zip(runs, ref_runs):
+        assert res.n_panels == ref.n_panels
+        assert res.spans == ref.spans
+        assert np.array_equal(res.value, ref.value)
+        assert np.array_equal(res.err, ref.err)
+
+
+def test_slab_green_calls_the_integrand_once_per_segment_and_request(monkeypatch):
+    # sigma is solved on the nodes of every evaluated panel and pole core,
+    # in one call per segment of each refinement request and one per core
+    x, xp = SLAB_PAIRS[0]
+    green(SLAB, x, xp)  # fills the pole and branch-residue caches
+    solves = []
+    cores = []
+    solve = quadrature.sigma_component_batch
+    core_rule = quadrature._gauss_legendre
+
+    def counting_solve(medium, lams, cid, **kwargs):
+        solves.append(np.size(lams))
+        return solve(medium, lams, cid, **kwargs)
+
+    def counting_core(*args):
+        cores.append(1)
+        return core_rule(*args)
+
+    monkeypatch.setattr(quadrature, "sigma_component_batch", counting_solve)
+    monkeypatch.setattr(quadrature, "_gauss_legendre", counting_core)
+    runs = _recorded_runs(monkeypatch, adaptive_segments)
+    green(SLAB, x, xp)
+    assert len(runs) == 4 and cores
+    panels = 0
+    requests = 0  # segments of the first request, plus one per split
+    for segments, res in runs:
+        initial = sum(max(1, int(s.min_panels)) for s in segments)
+        splits = res.n_panels - initial
+        panels += initial + 2 * splits
+        requests += len(segments) + splits
+    assert sum(solves) == 15 * panels + 8 * len(cores)
+    assert len(solves) <= requests + len(cores)

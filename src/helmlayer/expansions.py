@@ -51,7 +51,7 @@ from .quadrature import (
     SigmaMemo,
     adaptive_family,
     _build_segments,
-    _require_pole_free,
+    below_axis_path,
     component_abs_floor,
     tail_cutoff,
 )
@@ -200,12 +200,6 @@ def _power_table(z, z_inv, nmax):
     return t
 
 
-def _real_if_real(lam):
-    if not np.isrealobj(lam) and np.all(lam.imag == 0.0):
-        return lam.real.copy()
-    return lam
-
-
 def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None):
     """Integrals of sigma * E * (-i w_s)^p (i/w_t)^m for all orders at once.
 
@@ -214,26 +208,34 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
     times the outer product of the rows (-i w_s)^p and (i/w_t)^m, so it
     is handed to the quadrature in factored form (c, A, B) and each
     panel's sums are two small GEMMs.  The powers come from cumulative
-    products of per-node tables.  The bounded part runs on the half line
-    with the symmetrized plane-wave factor (sigma is even): the reflected
-    sign reuses the same sigma, h and w at the node, and because
-    (-i w)^(-n) = (i/w)^n its rows are the same tables read at negated
-    orders, stacked as a second term.  sigma comes from ``sigma``, a
-    ``SigmaMemo`` of this component (a fresh one when None): an FMM pass
-    shares one across its matrices, so a node array is solved once per
-    pass.  The evanescent tails are taken along the Cagniard--de Hoop
-    hyperbola whenever X != 0: on the real axis the high-order integrand
-    peaks exponentially above the integral (the cos(lam X) oscillation
-    cancels it back down), while on the deformed contour it decays
-    pointwise like the result, so no relative accuracy is lost to
-    cancellation.
+    products of per-node tables.  The bounded part [0, k_split] runs on
+    ``quadrature.below_axis_path`` with d from the geometry's X, for
+    every medium, with the symmetrized plane-wave factor (sigma and h
+    are even in lambda off the axis too): the reflected sign reuses the
+    same sigma, h and w at the node, and because (-i w)^(-n) = (i/w)^n
+    its rows are the same tables read at negated orders, stacked as a
+    second term.  sigma comes from ``sigma``, a ``SigmaMemo`` of this
+    component (a fresh one when None): an FMM pass shares one across its
+    matrices, so a node array is solved once per pass.  The evanescent
+    tails are taken along the real axis when X = 0 and along the
+    Cagniard--de Hoop hyperbola otherwise: on the real axis the
+    high-order integrand peaks exponentially above the integral (the
+    cos(lam X) oscillation cancels it back down), while on the deformed
+    contour it decays pointwise like the result, so no relative accuracy
+    is lost to cancellation.
+
+    The path passes below the surface-wave poles of a guided medium.
+    For targets and sources in one interior layer each matrix is that of
+    the component's lossy limit, the principal value plus
+    i pi R_c E(k_t) (see ``evaluate_component``); those terms cancel in
+    the sum of the layer's four components, which is G's reaction part.
 
     The integrals run as one lockstep family (``adaptive_family``): each
     refines on its own, and alpha, beta, X, the sign of each term and
-    the contour map (real axis with sqrt substitution, CdH segment,
-    hyperbola) are per-panel arrays, so one integrand call evaluates a
-    chunk of panels of many geometries and solves the chunk's new sigma
-    rows in one go.  A matrix is the running sum of its panels.
+    the contour map (path, real tail, CdH segment, hyperbola) are
+    per-panel arrays, so one integrand call evaluates a chunk of panels
+    of many geometries and solves the chunk's new sigma rows in one go.
+    A matrix is the running sum of its panels.
     """
     if sigma is None:
         sigma = SigmaMemo(medium, cid)
@@ -252,7 +254,7 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
     cols_p = p_max + np.multiply.outer((1, -1), p_arr)
     cols_m = m_max + np.multiply.outer((1, -1), m_arr)
 
-    def factors(lam, dinfo, signs, geo):
+    def factors(lam, signs, geo):
         """(c, A, B) of n panels at (possibly complex) nodes lam, (n, 15).
 
         signs (n, R) gives each term's sign of X: +1 is the native
@@ -260,15 +262,14 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
         h.  geo (n, 3) holds alpha, beta, X per panel, complex so that
         they multiply the complex node values as the scalars they are.
         """
-        lam = _real_if_real(lam)
-        ht = branch_sqrt_arr(hsq(lam, k_t, dinfo))
+        ht = branch_sqrt_arr(hsq(lam, k_t))
         wt = w_from_h(lam, ht, k_t)
         if k_s == k_t:
             hs, ws = ht, wt
         else:
-            hs = branch_sqrt_arr(hsq(lam, k_s, dinfo))
+            hs = branch_sqrt_arr(hsq(lam, k_s))
             ws = w_from_h(lam, hs, k_s)
-        sig = sigma.rows(lam, dinfo)
+        sig = sigma.rows(lam)
         alpha, beta, X = geo[:, 0:1], geo[:, 1:2], geo[:, 2:3]
         phase = 1j * lam * X
         c = sig[:, None] * np.exp(
@@ -285,14 +286,21 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
         """
         n, R = signs.shape
         both = np.take(table.reshape(n, -1, table.shape[1]), cols, axis=2)
-        if R == 2:  # the signs (1, -1) of the real axis
+        if R == 2:  # both signs, as the path and the real tail take them
             return both.transpose(0, 2, 1, 3)
         return both[np.arange(n)[:, None], :, (signs < 0).astype(int)]
 
     def f_sym(lam, dinfo, params):
-        # the real axis, both signs of X; params are (alpha, beta, X)
+        # the real tail, both signs of X; params are (alpha, beta, X)
         signs = np.tile((1, -1), (lam.shape[0], 1))
-        return factors(lam, dinfo, signs, np.array(params, dtype=complex))
+        return factors(lam, signs, np.array(params, dtype=complex))
+
+    def f_path(u, dinfo, params):
+        # [0, k_split] below the axis, both signs of X
+        geo = np.array(params, dtype=complex)
+        lam, jac = below_axis_path(u, k_split, geo[:, 2:3].real)
+        c, A, B = factors(lam, np.tile((1, -1), (u.shape[0], 1)), geo)
+        return c * jac[:, None], A, B
 
     def cdh_map(u, par):
         """Nodes and jacobians of n panels on the CdH contour.
@@ -322,16 +330,15 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
         # one sign of X per panel, on the Cagniard--de Hoop contour
         par = np.array(params, dtype=complex)
         lam, jac = cdh_map(u, par)
-        c, A, B = factors(lam, None, par[:, 3:4].real.astype(int), par)
+        c, A, B = factors(lam, par[:, 3:4].real.astype(int), par)
         return c * jac[:, None], A, B
 
-    branch = sorted(set(medium.wavenumbers))
     members = []
     for alpha, beta, X in geometries:
         H = alpha + beta
         geo = (alpha, beta, X)
         segs = _build_segments(
-            f_sym, 0.0, k_split, branch, X, min_extra=order_boost // 8, params=geo
+            f_path, 0.0, k_split, [], X, min_extra=order_boost // 8, params=geo
         )
         if X == 0.0:
             lam_max = tail_cutoff(
@@ -372,7 +379,6 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
 def me_expansion_functions(medium, cid, x, x_c, P, spec=None):
     """I_p(x, x_c) for all |p| < P (shared sigma samples across orders)."""
     spec = spec or ContourSpec()
-    _require_pole_free(medium, spec)
     geometry = component_geometry_centers(medium, cid, x, x_c)
     return _power_family(medium, cid, [geometry], _orders(P), [0], spec)[0][0]
 
@@ -408,7 +414,6 @@ def le_coeffs_direct(medium, cid, x_c_l, sources, strengths, M, spec=None):
     """L_m as the sum of every source's own L_m (the direct,
     translation-free route); the sources' integrals run as one family."""
     spec = spec or ContourSpec()
-    _require_pole_free(medium, spec)
     cid.validate(medium.n_interfaces)
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     k_t = medium.wavenumbers[cid.t]
@@ -479,7 +484,6 @@ def m2l_family(medium, cid, centers, M, P, spec=None, sigma=None):
     as in ``m2l``, changes how often sigma is solved, never a matrix.
     """
     spec = spec or ContourSpec()
-    _require_pole_free(medium, spec)
     geometries = [
         component_geometry_centers(medium, cid, x_c_l, x_c) for x_c_l, x_c in centers
     ]

@@ -32,9 +32,12 @@ solve an array twice.  The memo is local to the pass and goes when it
 returns.  A matrix is bitwise what ``m2l`` builds for its pair alone.
 Near-field interactions go through a frozen composite rule that shares
 one interface solve per node across every pair, in separable form:
-per-node moments of each source leaf, applied to the points of each
-target box.  The rule adapts on five probe geometries, run as one
-lockstep family like the M2L matrices.  The same-layer free-space
+per-node moments of each source leaf about its column, turned to each
+target box's column and applied to its points.  The rule adapts on five
+probe geometries, run as one lockstep family like the M2L matrices.
+Every operator integrates [0, k_split] on one path below the real axis
+(``quadrature.below_axis_path``), so guided media and targets and
+sources sharing an interior layer take the same route.  The same-layer free-space
 part is a second pass with Graf's addition theorem as its operators
 and direct Hankel sums in its near field; a target that coincides with
 a source gets no free-space term from it (the reaction terms stay
@@ -75,14 +78,7 @@ from .medium import (
     polarization_preimage,
     relevant_interface,
 )
-from .quadrature import (
-    ContourSpec,
-    FrozenComponentRule,
-    SigmaMemo,
-    _require_pole_free,
-    evaluate_component,
-    has_branch_pole,
-)
+from .quadrature import ContourSpec, FrozenComponentRule, SigmaMemo
 from .expansions import (
     _fs_m2l_kernel,
     _toeplitz,
@@ -109,8 +105,6 @@ class FmmConfig:
 
     eps: float = 1e-6
     c0: float = 2.0
-    max_level: int = 8
-    max_order: int = 256
     leaf_size: int = 20
 
     def __post_init__(self):
@@ -302,6 +296,10 @@ def _child_kernels(operators, cell, k, P, tau=1.0, flip=1.0):
 # ---------------------------------------------------------------------------
 
 
+# Deepest tree level: ceil(log4(points / leaf_size)), capped here
+_MAX_LEVEL = 8
+
+
 def _tree(tgt_xy, src_xy, config, align_y=None):
     """Tree over targets plus source points, its leaf boxes and lists.
 
@@ -315,7 +313,7 @@ def _tree(tgt_xy, src_xy, config, align_y=None):
     n_tgt = tgt_xy.shape[0]
     cloud = np.vstack([tgt_xy, src_xy])
     level = max(
-        2, min(config.max_level, math.ceil(math.log(max(cloud.shape[0], 4) / config.leaf_size, 4)))
+        2, min(_MAX_LEVEL, math.ceil(math.log(max(cloud.shape[0], 4) / config.leaf_size, 4)))
     )
     tree = QuadTree(cloud, level, align_y=align_y)
     leaf_t = tree.boxes(np.arange(n_tgt), level)
@@ -343,6 +341,7 @@ def _tree(tgt_xy, src_xy, config, align_y=None):
 # onset term takes over.  With C = 0.2 the worst point of every such
 # cloud stayed at or below 0.16 eps for eps = 1e-4 to 1e-8.
 _ORDER_PREFACTOR = 0.2
+_MAX_ORDER = 256  # highest truncation order a pass takes
 
 
 def _pass_order(k, tree, config):
@@ -361,10 +360,9 @@ def _pass_order(k, tree, config):
     P = choose_truncation(
         ratio, config.eps, k, rho_geom, C_safe=_ORDER_PREFACTOR, P_min=8, c0=config.c0
     )
-    if P > config.max_order:
+    if P > _MAX_ORDER:
         raise DomainError(
-            f"target tolerance needs order {P} > configured maximum "
-            f"{config.max_order}"
+            f"target tolerance needs order {P} > maximum {_MAX_ORDER}"
         )
     return P
 
@@ -466,27 +464,40 @@ def _reaction_pass(
         lambda: FrozenComponentRule(medium, cid, a_range, b_range, x_near, rtol=rtol),
     )
 
-    # near field, separable in x: each source leaf is folded once into
-    # per-node moments (C, S), a target box sums the moments of its near
-    # leaves and applies them to its points.  Abscissae are measured from
-    # the tree's center line to keep the phases lam * x small
-    x_ref = tree.origin[0] + 0.5 * tree.side
+    # near field, separable in x: a source leaf is folded into per-node
+    # moments (C, S) about its column's center line, turned once to each
+    # column it is near, and a target box applies the sum of its near
+    # leaves' moments to its points.  Abscissae stay within half a cell,
+    # so |cos(lam x)| stays near 1 on the rule's complex path nodes
+    # however wide the tree is
+    def center_x(box):
+        return tree.origin[0] + (box[0] + 0.5) * tree.cell
+
+    n_near = near_radius(config.c0)
+    turns = {dx: rule.turn(dx * tree.cell) for dx in range(-n_near, n_near + 1) if dx}
     moments = {}
+
+    def leaf_moments(s, dx):
+        # about the center line of the column dx cells before leaf s's
+        if (s, 0) not in moments:
+            j = leaf_s[s]
+            moments[s, 0] = rule.source_moments(
+                betas[j], src_xy[j, 0] - center_x(s), src_q[j]
+            )
+        if (s, dx) not in moments:
+            (C, S), (cos, sin) = moments[s, 0], turns[dx]
+            moments[s, dx] = (C * cos - S * sin, S * cos + C * sin)
+        return moments[s, dx]
+
     for b in leaf_t:
-        src_boxes = [s for s in near[b] if s in leaf_s]
-        if not src_boxes:
+        near_moments = [leaf_moments(s, s[0] - b[0]) for s in near[b] if s in leaf_s]
+        if not near_moments:
             continue
-        for s in src_boxes:
-            if s not in moments:
-                j = leaf_s[s]
-                moments[s] = rule.source_moments(
-                    betas[j], src_xy[j, 0] - x_ref, src_q[j]
-                )
-        C = sum(moments[s][0] for s in src_boxes)
-        S = sum(moments[s][1] for s in src_boxes)
+        C = sum(m[0] for m in near_moments)
+        S = sum(m[1] for m in near_moments)
         tl = leaf_t[b]
         out[tgt_idx[tl]] += rule.eval_moments(
-            alphas[tl], tgt_xy[tl, 0] - x_ref, C, S
+            alphas[tl], tgt_xy[tl, 0] - center_x(b), C, S
         )
 
     P = _pass_order(k_s, tree, config)
@@ -638,26 +649,21 @@ class FmmPlan:
     all read-only, until it is dropped: about 2 MB at N = 2000 and
     eps = 1e-6 on a two-layer medium.
 
-    Construction refuses (``DomainError``) targets and sources that share
-    an interior layer: the operators do not take the pole their sigma
-    has at that layer's branch point.  ``direct_sum`` takes them.
+    Every medium is taken, guided ones included: the operators integrate
+    on ``quadrature.below_axis_path``, which passes below the surface-wave
+    poles.  Where targets and sources share an interior layer, each of
+    the layer's four reaction components is its lossy limit, the
+    principal value that ``evaluate_component`` returns plus
+    i pi R_c E(k_t); those terms cancel in the sum of the four passes,
+    so the total is G's.
     """
 
     def __init__(self, medium, source_xy, targets, config=None):
-        _require_pole_free(medium, ContourSpec())
         self.medium = medium
         self.source_xy = _frozen_points(source_xy)
         self.targets = _frozen_points(targets)
         self._t_layers = _layers_of_batch(medium, self.targets[:, 1])
         self._s_layers = _layers_of_batch(medium, self.source_xy[:, 1])
-        for t in sorted(set(self._t_layers.tolist()) & set(self._s_layers.tolist())):
-            cid = admissible_components(t, t, medium.n_interfaces)[0]
-            if has_branch_pole(medium, cid):
-                raise DomainError(
-                    f"the fast evaluator cannot take {cid}: targets and sources "
-                    f"share interior layer {t}, whose sigma has a pole at the "
-                    f"branch point k_{t}; use direct_sum"
-                )
         self.config = config or FmmConfig()
         self._operators = {}
 
@@ -692,9 +698,10 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
     costs O((n_t + n_s) * nodes); the same-layer free-space part is the
     direct Hankel sum, O(n_t * n_s).  Arrays are built in row blocks of
     about 200,000 entries.
-    A component whose sigma has a pole at a branch point (targets and
-    sources in one interior layer) is summed pair by pair through
-    ``evaluate_component`` instead.
+    Every medium is taken: on a guided medium and where targets and
+    sources share an interior layer the rules are those of ``FmmPlan``'s
+    near field, so each component there is its lossy limit and the
+    plane-wave terms i pi R_c E(k_t) cancel in the sum.
     Like ``evaluate_all``, a zero-distance source/target pair contributes
     no free-space term; its reaction terms are kept.
     """
@@ -715,9 +722,6 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
             # abscissae from the middle of the x span keep lam * x small
             x_ref = 0.5 * (x_lo + x_hi)
             for cid in admissible_components(t, s, L):
-                if has_branch_pole(medium, cid):
-                    out[tgt_sel] += _pointwise_sum(medium, cid, txy, sxy, sq, rtol)
-                    continue
                 d_t = relevant_interface(medium, cid.t, cid.dir_t)
                 d_s = relevant_interface(medium, cid.s, cid.dir_s)
                 alphas = cid.dir_t.tau * (txy[:, 1] - d_t)
@@ -754,26 +758,6 @@ def _hankel_sum(k, txy, sxy, q):
     vals = 0.25j * _sp.hankel1(0, k * r)
     vals[r == 0.0] = 0.0
     return (q[None, :] * vals).sum(axis=1)
-
-
-def _pointwise_sum(medium, cid, txy, sxy, q, rtol):
-    """Sum over sources of one component, pair by pair, at every target.
-
-    For components with a pole at a branch point (``has_branch_pole``),
-    which the frozen rule cannot take: each pair is an
-    ``evaluate_component`` principal value.
-    """
-    spec = ContourSpec(rtol=rtol)
-    return np.array(
-        [
-            sum(
-                qj * evaluate_component(medium, cid, tuple(x), tuple(xp), spec)
-                for xp, qj in zip(sxy, q)
-            )
-            for x in txy
-        ],
-        dtype=complex,
-    )
 
 
 def measure_scaling(medium, n_values, seed=0, config=None, box=None):

@@ -19,6 +19,9 @@ spectral axis.  The machinery here:
   whole integral is run on a slightly lossy medium and
   Richardson-extrapolated (pole_mode "perturbed", kept as an
   independent oracle);
+* one path below the real axis on [0, k_split] (``below_axis_path``)
+  for the FMM operators' integrals: it gives the lossy limit with no
+  window, residue or substitution;
 * optional Cagniard--de Hoop tails: the map
   phi(z) = z cos(beta) + i sqrt(z^2 - k^2) sin(beta) turns the
   oscillatory tail exponential into a purely decaying one, so the tail
@@ -119,7 +122,12 @@ class Segment:
     (NaN on rows without one) and delta (n, 15), and the n panels'
     params, and returns the values with the panel axis first,
     (n, 15, ...), or in factored form (c, A, B) with shapes (n, R, 15),
-    (n, R, 15, p) and (n, R, 15, m).
+    (n, R, 15, p) and (n, R, 15, m).  The library's family segments
+    (``expansions._power_family``, ``FrozenComponentRule``) carry no
+    substitution: on [0, k_split] their integrands map the nodes onto
+    ``below_axis_path`` and take the jacobian themselves, which gives
+    each component its lossy limit (on a shared interior layer, the
+    principal value plus i pi R_c E(k_t); the terms cancel in G).
     """
 
     f: object
@@ -561,17 +569,22 @@ def _pole_cache_impl(medium, k_split):
     return tuple(find_real_poles(medium, (1e-6 * medium.k_min, k_split)))
 
 
-def _require_pole_free(medium, spec):
-    """Refuse a medium with surface-wave poles below spec's k_split.
+def below_axis_path(u, k_split, x):
+    """(lam, dlam/du) on lam(u) = u - i d sin(pi u / k_split), 0 <= u <= k_split.
 
-    The expansions, the frozen rule and the FMM do not take those poles
-    yet; ``evaluate_component`` does, through its pole windows.
+    Every FMM operator integrates [0, k_split] on this path, for every
+    medium.  It passes below each branch point and real pole, whose lossy
+    counterparts (k_l (1 + i eps); a guided mode's pole, side +1) lie
+    above the axis, so it gives the lossy limit with no window, residue
+    or substitution.  On a shared interior layer that is the principal
+    value plus i pi R_c E(k_t) (``evaluate_component``); the four
+    components' terms cancel in G.  d = min(0.5, 1 / max(|x|, 1)), x the
+    largest horizontal offset used (scalar or array), keeps |cos(lam x)|
+    below cosh(1).
     """
-    if _pole_cache(medium, spec.resolve_split(medium)):
-        raise DomainError(
-            "this route requires a pole-free medium; guided modes need the "
-            "pointwise pole-corrected quadrature (evaluate_component, green)"
-        )
+    d = np.minimum(0.5, 1.0 / np.maximum(np.abs(x), 1.0))
+    t = (math.pi / k_split) * u
+    return u - 1j * d * np.sin(t), 1.0 - 1j * (d * math.pi / k_split) * np.cos(t)
 
 
 # Offsets delta above k_l at which (lam - k_l) sigma is sampled: each is a
@@ -1137,13 +1150,14 @@ def tail_integral_cdh(medium, cid, x, xp, spec=None):
 class SigmaMemo:
     """sigma of one component, solved once per distinct node array.
 
-    ``memo.rows(lam, dinfo)`` returns sigma at the node arrays of the
-    panels of one family integrand call, each row bitwise what
-    ``sigma_component_batch(medium, row, cid, dinfo=...)`` gives for that
-    panel alone.  A row is keyed on the exact bytes of its nodes and, on
-    anchored panels, of its dinfo offset, so a repeat returns bitwise what
-    a new solve would.  The memo lives as long as its owner (a frozen-rule
-    build, an FMM reaction pass) and nothing keeps it beyond that.
+    ``memo.rows(lam)`` returns sigma at the node arrays of the panels of
+    one family integrand call, each row bitwise what
+    ``sigma_component_batch(medium, row, cid)`` gives for that panel
+    alone.  A row is keyed on the dtype and exact bytes of its nodes
+    (real on the real axis, complex on a deformed contour), so a repeat
+    returns bitwise what a new solve would.  The memo lives as long as
+    its owner (a frozen-rule build, an FMM reaction pass) and nothing
+    keeps it beyond that.
     """
 
     def __init__(self, medium, cid):
@@ -1151,56 +1165,29 @@ class SigmaMemo:
         self.cid = cid
         self._values = {}
 
-    @staticmethod
-    def _key(row, anchor, delta):
-        key = (row.dtype.char, row.tobytes())
-        if anchor is not None:
-            key += (anchor, delta.tobytes())
-        return key
-
-    def rows(self, lam, dinfo=None):
+    def rows(self, lam):
         """sigma at the node arrays lam[i] of n panels, an (n, nodes) array.
 
-        dinfo is None or (anchor, delta) with anchor (n, 1), NaN on rows
-        without one, and delta (n, nodes).  Each row is looked up on its
-        own key; the rows not stored yet go to one solve, a row that
-        repeats among them once.  A family integrand call takes at most
-        ``_PANEL_CHUNK`` panels, which bounds the solve.
+        Each row is looked up on its own key; the rows not stored yet go
+        to one solve, a row that repeats among them once.  A family
+        integrand call takes at most ``_PANEL_CHUNK`` panels, which bounds
+        the solve.
         """
-        anchors = [None] * len(lam)
-        if dinfo is not None:
-            anchors = [None if a != a else a for a in dinfo[0][:, 0].tolist()]
-        keys = []
+        keys = [(row.dtype.char, row.tobytes()) for row in lam]
         misses = {}
-        for i, row in enumerate(lam):
-            delta = None if anchors[i] is None else dinfo[1][i]
-            key = self._key(row, anchors[i], delta)
-            keys.append(key)
+        for i, key in enumerate(keys):
             if key not in self._values:
                 misses.setdefault(key, i)
         if misses:
-            self._solve(lam, dinfo, anchors, list(misses.items()))
+            first = list(misses.values())
+            solved = sigma_component_batch(
+                self.medium, lam[first].ravel(), self.cid
+            ).reshape(len(first), -1)
+            for key, value in zip(misses, solved):
+                value = value.copy()
+                value.flags.writeable = False
+                self._values[key] = value
         return np.array([self._values[key] for key in keys])
-
-    def _solve(self, lam, dinfo, anchors, misses):
-        first = [i for _, i in misses]
-        own = {anchors[i] for i in first}
-        if own == {None}:
-            sub = None
-        else:
-            delta = dinfo[1][first].ravel()
-            if len(own) == 1:
-                sub = (own.pop(), delta)
-            else:
-                per_node = [math.nan if anchors[i] is None else anchors[i] for i in first]
-                sub = (tuple(np.repeat(per_node, lam.shape[1]).tolist()), delta)
-        solved = sigma_component_batch(
-            self.medium, lam[first].ravel(), self.cid, dinfo=sub
-        ).reshape(len(first), -1)
-        for (key, _), value in zip(misses, solved):
-            value = value.copy()
-            value.flags.writeable = False
-            self._values[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -1213,19 +1200,27 @@ class FrozenComponentRule:
 
     Adapts once on five worst-case probe geometries, freezes the union of
     the panel sets, and solves the interface systems a single time per
-    node.  The probes run as one lockstep family (``adaptive_family``):
-    each takes the panels it would take alone, while every round
-    evaluates the new panels of all five in chunked integrand calls that
-    share one ``SigmaMemo``.  The kernel
+    node.  [0, k_split] runs on ``below_axis_path`` with d from x_max and
+    the tail stays on the real axis, so its nodes are real.  The probes
+    run as one lockstep family (``adaptive_family``): each takes the
+    panels it would take alone, while every round evaluates the new
+    panels of all five in chunked integrand calls that share one
+    ``SigmaMemo``; every panel of the union is one a probe took, so the
+    rule reads its sigma from that memo.  The kernel
     sum_nu 2 w sigma e^{-h_t alpha} e^{-h_s beta} cos(lam (x - x'))
     separates in x, because cos lam(x - x') = cos lam x cos lam x' +
-    sin lam x sin lam x': ``source_moments`` folds a set of sources into
-    two per-node vectors and ``eval_moments`` applies them to targets, so
-    a sum over n_t targets and n_s sources costs O((n_t + n_s) * nodes)
-    exponentials.  That is what FMM near fields and ``direct_sum`` use.
-    ``eval_batch`` and ``eval_one`` evaluate pair by pair and are the
-    oracle for it.  Requires a pole-free medium (shipped FMM
-    configurations are checked for that).
+    sin lam x sin lam x', for complex lam too: ``source_moments`` folds a
+    set of sources into two per-node vectors and ``eval_moments`` applies
+    them to targets, so a sum over n_t targets and n_s sources costs
+    O((n_t + n_s) * nodes) exponentials.  That is what FMM near fields
+    and ``direct_sum`` use.  |cos lam x| grows as e^{d |x|} on the path,
+    so abscissae should stay within about x_max of their origin; ``turn``
+    moves moments to another origin.  ``eval_batch`` and ``eval_one``
+    evaluate pair by pair and are the oracle for it.
+
+    Every medium is taken.  On a shared interior layer the component is
+    its lossy limit, the principal value plus i pi R_c E(k_t); those
+    terms cancel in the sum of the layer's four components.
     """
 
     def __init__(
@@ -1243,19 +1238,14 @@ class FrozenComponentRule:
         self.cid = cid
         self.rtol = rtol
         spec = ContourSpec(rtol=rtol, k_split=k_split)
-        _require_pole_free(medium, spec)
         k_split = spec.resolve_split(medium)
         kt = medium.wavenumbers[cid.t]
         ks = medium.wavenumbers[cid.s]
-        kbar = max(kt, ks)
         a_lo, a_hi = alpha_range
         b_lo, b_hi = beta_range
         if not (a_lo > 0 and b_lo > 0):
             raise DomainError("offset ranges must be positive")
-        h_min = a_lo + b_lo
-        lam_max = tail_cutoff(h_min, rtol, kbar)
-        lam_max = max(lam_max, 1.5 * k_split)
-        branch = sorted(set(medium.wavenumbers))
+        lam_max = max(tail_cutoff(a_lo + b_lo, rtol, max(kt, ks)), 1.5 * k_split)
 
         probes = [
             (a_lo, b_lo, 0.0),
@@ -1264,41 +1254,41 @@ class FrozenComponentRule:
             (a_hi, b_hi, x_max),
             (0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi), 0.5 * x_max),
         ]
-        # union of the probes' adapted panel edges, merged per segment (their
-        # segment lists are identical by construction); every probe bisects
-        # the same initial panels, so sigma is solved once per distinct panel
+        # every probe bisects the same initial panels, so sigma is solved
+        # once per distinct panel
         sig = SigmaMemo(medium, cid)
 
-        def f(lam, dinfo, params):
+        def f_tail(lam, dinfo, params):
             alpha, beta, X = np.array(params).T[:, :, None]
-            e_sym = _exp_factor_half(medium, cid, alpha, beta, X)
-            return sig.rows(lam, dinfo) * e_sym(lam, dinfo)
+            return sig.rows(lam) * _exp_factor_half(medium, cid, alpha, beta, X)(lam)
+
+        def f_path(u, dinfo, params):
+            lam, jac = below_axis_path(u, k_split, x_max)
+            return f_tail(lam, dinfo, params) * jac
 
         members = [
-            (_build_segments(f, 0.0, lam_max, branch, x_max, params=p), 0.0)
+            (
+                _build_segments(f_path, 0.0, k_split, [], x_max, params=p)
+                + _build_segments(f_tail, k_split, lam_max, [], x_max, params=p),
+                0.0,
+            )
             for p in probes
         ]
-        segments = members[0][0]
-        seg_edges = [set() for _ in segments]
+        path, tail = members[0][0]
+        # union of the probes' adapted panel edges, per segment
+        edges = ([], [])
         for _, res in adaptive_family(members, rtol, max_panels=spec.max_panels):
             for si, ua, ub in res.spans:
-                seg_edges[si].update((ua, ub))
-        nodes = []
-        weights = []
-        for si, seg in enumerate(segments):
-            edges = sorted(seg_edges[si])
-            for ua, ub in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-                u = mid + half * GK_NODES
-                lam, jac, _ = seg.map(u)
-                nodes.append(lam)
-                weights.append(half * GK_WEIGHTS * jac)
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights)
-        order = np.argsort(nodes, kind="stable")
-        self.lam = nodes[order]
-        self.w = weights[order]
-        self.sig = sigma_component_batch(medium, self.lam, cid)
+                edges[si].extend((ua, ub))
+        blocks = []
+        for seg, e in zip((path, tail), edges):
+            e = sorted(set(e))
+            lam, jac, _, half = _family_nodes([seg] * (len(e) - 1), e[:-1], e[1:])
+            if seg is path:
+                lam, jac = below_axis_path(lam, k_split, x_max)
+            blocks.append((lam, half[:, None] * GK_WEIGHTS * jac, sig.rows(lam)))
+        self._n_path = blocks[0][0].size
+        self.lam, self.w, self.sig = (np.concatenate([b[i].ravel() for b in blocks]) for i in range(3))
         self.ht = branch_sqrt_arr(hsq(self.lam, kt))
         self.hs = branch_sqrt_arr(hsq(self.lam, ks))
         self._wsig = self.w * self.sig
@@ -1306,6 +1296,11 @@ class FrozenComponentRule:
     @property
     def n_nodes(self):
         return self.lam.shape[0]
+
+    def _blocks(self):
+        """(node slice, nodes) of the complex path block and the real tail."""
+        n = self._n_path
+        return (slice(None, n), self.lam[:n]), (slice(n, None), self.lam[n:].real)
 
     def eval_one(self, alpha, beta, X):
         e = np.exp(-self.ht * alpha - self.hs * beta)
@@ -1318,20 +1313,42 @@ class FrozenComponentRule:
         sin.  Moments of disjoint source sets add.
         """
         q = np.asarray(q, dtype=complex)
-        e = np.exp(-np.outer(np.asarray(beta, dtype=float), self.hs))
-        phase = np.outer(np.asarray(x, dtype=float), self.lam)
-        return q @ (e * np.cos(phase)), q @ (e * np.sin(phase))
+        beta = np.asarray(beta, dtype=float)
+        x = np.asarray(x, dtype=float)
+        C, S = [], []
+        for nodes, lam in self._blocks():
+            e = np.exp(-np.outer(beta, self.hs[nodes]))
+            phase = np.outer(x, lam)
+            C.append(q @ (e * np.cos(phase)))
+            S.append(q @ (e * np.sin(phase)))
+        return np.concatenate(C), np.concatenate(S)
+
+    def turn(self, dx):
+        """(cos, sin) of lam dx at every node.
+
+        Moments (C, S) about an origin o hold cos and sin of lam (x_j - o);
+        turned, (C cos - S sin, S cos + C sin), they are the moments about
+        o - dx.  So sources and targets can each be measured from an origin
+        close to them.
+        """
+        return np.cos(self.lam * dx), np.sin(self.lam * dx)
 
     def eval_moments(self, alpha, x, C, S):
         """Sum over the sources behind (C, S) at targets (alpha, x).
 
         x must be measured from the same origin as the sources' abscissae.
         """
-        e = np.exp(-np.outer(np.asarray(alpha, dtype=float), self.ht))
-        phase = np.outer(np.asarray(x, dtype=float), self.lam)
-        return (e * np.cos(phase)) @ (2.0 * self._wsig * C) + (
-            e * np.sin(phase)
-        ) @ (2.0 * self._wsig * S)
+        alpha = np.asarray(alpha, dtype=float)
+        x = np.asarray(x, dtype=float)
+        out = 0.0
+        for nodes, lam in self._blocks():
+            e = np.exp(-np.outer(alpha, self.ht[nodes]))
+            phase = np.outer(x, lam)
+            wsig = 2.0 * self._wsig[nodes]
+            out = out + (e * np.cos(phase)) @ (wsig * C[nodes]) + (
+                e * np.sin(phase)
+            ) @ (wsig * S[nodes])
+        return out
 
     def eval_batch(self, alpha, beta, X, chunk=512):
         """Component values for arrays of (alpha, beta, X) triples.

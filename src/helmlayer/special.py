@@ -264,18 +264,11 @@ def hsq(lam, k, dinfo=None):
     anchor + delta with an exact offset (substitution panels hugging a
     branch point), pass dinfo = (anchor, delta) and the anchor-matching
     k uses delta*(2k + delta), which stays exact even after lam itself
-    has rounded onto the anchor.  anchor may also hold one value per
-    node, broadcast against lam, with NaN where a node has none.
+    has rounded onto the anchor.
     """
     if dinfo is not None:
         anchor, delta = dinfo
         tol = 1e-12 * max(k, 1.0)
-        if isinstance(anchor, (tuple, np.ndarray)):
-            # one anchor per node (NaN: none), as a batch of panels has
-            anchor = np.asarray(anchor)
-            plain = hsq(lam, k)
-            plain = np.where(np.abs(anchor + k) <= tol, delta * (delta - 2.0 * k), plain)
-            return np.where(np.abs(anchor - k) <= tol, delta * (2.0 * k + delta), plain)
         if abs(anchor - k) <= tol:
             return delta * (2.0 * k + delta)
         if abs(anchor + k) <= tol:

@@ -198,3 +198,22 @@ tolerance = 1e-5
         # ||e|| / ||d|| <= sqrt(n) max|e| / max|d| for any two n-vectors
         assert float(rows[0]["rel_l2_error"]) <= math.sqrt(80) * point
         assert (out / "timings.json").exists()
+
+    def test_guided_slab_bench_with_check(self, tmp_path):
+        # a cloud in all three layers of the guided slab
+        cfg = """
+[medium]
+depths = 0.0, -1.0
+wavenumbers = 1.0, 2.0, 1.0
+rows = acoustic
+
+[job]
+kind = fmm-bench
+sizes = 80
+check_n = 80
+tolerance = 1e-6
+"""
+        code, out = run(tmp_path, cfg, "f", "--seed", "2")
+        assert code == 0
+        payload = json.loads((out / "result.json").read_text())
+        assert 0 < payload["metrics"]["checked_rel_l2"] <= 1e-6

@@ -9,7 +9,7 @@ import pytest
 
 import helmlayer
 from helmlayer import fmm, quadrature
-from helmlayer.errors import DomainError, ValidationError
+from helmlayer.errors import ValidationError
 from helmlayer.medium import (
     Dir,
     ReactionComponentId,
@@ -33,6 +33,7 @@ from helmlayer.fmm import (
 )
 
 TWO_LAYER = acoustic((0.0,), (1.0, 1.5))
+# guided: the slab's surface-wave poles lie on the real axis
 SLAB = acoustic((0.0, -1.0), (1.0, 2.0, 1.0))
 # pole-free: the wavenumber grows downward, so no layer guides a mode
 THREE_LAYER = acoustic((0.0, -1.0), (1.0, 1.5, 2.0))
@@ -49,6 +50,24 @@ def near_interface_cloud(n, rng, gap=0.02, half_width=2.0):
     src = np.vstack([side(n // 2, 1.0), side(n - n // 2, -1.0)])
     tgt = np.vstack([side(n // 2, 1.0), side(n - n // 2, -1.0)])
     return SourceSet(src, rng.uniform(0.5, 1.5, n)), tgt
+
+
+def guided_cloud(case, seed=85, n=150):
+    """(medium, sources, targets) of n points each, 0.05 or more from every
+    interface: on the slab, a third in each layer; on the three-layer
+    medium, all in the middle layer."""
+    rng = np.random.default_rng(seed)
+    bands = {"slab": [(0.05, 1.0), (-0.95, -0.05), (-2.0, -1.05)], "middle": [(-0.95, -0.05)]}
+    medium = {"slab": SLAB, "middle": THREE_LAYER}[case]
+
+    def points():
+        m = n // len(bands[case])
+        return np.vstack(
+            [np.column_stack([rng.uniform(-1.5, 1.5, m), rng.uniform(lo, hi, m)])
+             for lo, hi in bands[case]]
+        )
+
+    return medium, SourceSet(points(), rng.uniform(0.5, 1.5, n)), points()
 
 
 class TestConfig:
@@ -239,10 +258,34 @@ class TestEquivalence:
         f2 = evaluate_all(TWO_LAYER, src, tgt, FmmConfig(eps=1e-6))
         assert np.array_equal(f1, f2)
 
-    def test_guided_mode_medium_rejected(self):
-        src = SourceSet(np.array([[0.0, 0.5]]), np.array([1.0]))
-        with pytest.raises(DomainError):
-            evaluate_all(SLAB, src, np.array([[1.0, 0.5]]), FmmConfig())
+    @pytest.mark.parametrize("case", ["slab", "middle"])
+    def test_guided_and_shared_interior_layers_match_direct(self, case):
+        # the slab with points in all three layers, and targets and
+        # sources sharing the middle layer, where each component carries
+        # a plane-wave term i pi R_c E(k_t) that cancels in the sum: the
+        # error is within eps relative to G itself
+        medium, src, tgt = guided_cloud(case)
+        eps = 1e-6
+        f = evaluate_all(medium, src, tgt, FmmConfig(eps=eps))
+        d = direct_sum(medium, src, tgt, rtol=1e-8)
+        assert np.linalg.norm(f - d) / np.linalg.norm(d) < eps
+
+    @pytest.mark.parametrize("case", ["slab", "middle"])
+    def test_direct_sum_matches_pairwise_green_on_guided_and_shared_layers(self, case):
+        medium, src, tgt = guided_cloud(case, seed=86)
+        sub = SourceSet(src.xy[::6], src.q[::6])
+        tgt = tgt[::37]
+        rtol = 1e-8
+        got = direct_sum(medium, sub, tgt, rtol=rtol)
+        spec = ContourSpec(rtol=1e-10)
+        want = np.array(
+            [
+                sum(q * green(medium, tuple(x), tuple(xp), spec) for xp, q in zip(sub.xy, sub.q))
+                for x in tgt
+            ]
+        )
+        assert len(tgt) == 5 and len(sub.q) == 25
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < rtol
 
     def test_three_layers_outer_layers_match_direct(self):
         # points in layers 0 and 2 only, at least 0.08 from each interface:
@@ -315,6 +358,24 @@ class TestSeparableNearField:
                         (txy[:, 0][:, None] - sxy[:, 0][None, :]).ravel(),
                     ).reshape(nt, ns) @ sq
                     assert np.all(np.abs(sep - pair) <= 1e-13 * np.abs(pair))
+
+    @pytest.mark.parametrize("medium", [TWO_LAYER, SLAB], ids=["two_layer", "slab"])
+    def test_turned_moments_match_pairwise_far_from_the_origin(self, medium):
+        # a leaf's moments about its own center line, turned to the center
+        # line of a target column 1.5 away, 40 from x = 0: measured from 0
+        # the path nodes' cos(lam x) would grow as e^{0.5 * 40}
+        rng = np.random.default_rng(87)
+        cid = ReactionComponentId(0, 0, Dir.UP, Dir.UP)
+        rule = FrozenComponentRule(medium, cid, (0.05, 1.0), (0.05, 1.0), 2.0, rtol=5e-8)
+        xs, xt = 40.0 + rng.uniform(-0.4, 0.4, 12), 41.5 + rng.uniform(-0.4, 0.4, 9)
+        betas, alphas, q = rng.uniform(0.05, 1.0, 12), rng.uniform(0.05, 1.0, 9), rng.uniform(0.5, 1.5, 12)
+        C, S = rule.source_moments(betas, xs - 40.0, q)
+        cos, sin = rule.turn(-1.5)
+        sep = rule.eval_moments(alphas, xt - 41.5, C * cos - S * sin, S * cos + C * sin)
+        pair = rule.eval_batch(
+            np.repeat(alphas, 12), np.tile(betas, 9), (xt[:, None] - xs[None, :]).ravel()
+        ).reshape(9, 12) @ q
+        assert np.all(np.abs(sep - pair) <= 1e-13 * np.abs(pair))
 
     def test_fmm_matches_direct_near_interface(self):
         rng = np.random.default_rng(69)
@@ -594,24 +655,18 @@ class TestFmmPlan:
         with pytest.raises(ValueError):
             plan.source_xy[0, 0] = 0.0
 
-    def test_guided_mode_medium_rejected_at_construction(self):
-        with pytest.raises(DomainError):
-            FmmPlan(SLAB, [[0.1, 0.3]], [[0.2, 0.4]])
-
-    def test_shared_interior_layer_rejected_up_front(self, monkeypatch):
-        # sigma of u[11] has a pole at k_1: refused before any operator
-        # is built, with the component named and direct_sum pointed to
-        def no_rule(*args, **kwargs):
-            raise AssertionError("an operator was built")
-
-        monkeypatch.setattr(fmm, "FrozenComponentRule", no_rule)
-        src = SourceSet(np.array([[0.0, -0.5], [1.0, 0.5]]), np.array([1.0, 1.0]))
-        for call in (
-            lambda: FmmPlan(THREE_LAYER, src.xy, [[0.3, -0.4]]),
-            lambda: evaluate_all(THREE_LAYER, src, np.array([[0.3, -0.4]])),
-        ):
-            with pytest.raises(DomainError, match=r"u\[11\].*direct_sum"):
-                call()
+    @pytest.mark.parametrize("case", ["slab", "middle"])
+    def test_guided_and_shared_interior_layers_plan(self, monkeypatch, case):
+        # the plan builds its operators once on these media too
+        medium, src, tgt = guided_cloud(case)
+        plan = FmmPlan(medium, src.xy, tgt)
+        first = plan.evaluate(src.q)
+        counts = _count_builds(monkeypatch)
+        q = np.linspace(0.5, 1.5, len(src.q))
+        assert np.array_equal(plan.evaluate(q), evaluate_all(medium, SourceSet(src.xy, q), tgt))
+        built = dict(counts)
+        assert np.array_equal(plan.evaluate(src.q), first)
+        assert counts == built and built["rule"] > 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_direct_sum_takes_middle_layer_points(self):

@@ -520,14 +520,15 @@ def probe_by_probe_rule(medium, cid, alpha_range, beta_range, x_max, rtol):
 
     Reference for ``FrozenComponentRule``'s lockstep build: each of the
     five probes runs through ``adaptive_segments`` with sigma solved per
-    panel, and the rule is the union of their panel edges.
+    panel, on [0, k_split] along the path below the axis and on the real
+    tail past it, and the rule is the union of their panel edges, path
+    nodes first.
     """
     k_split = ContourSpec(rtol=rtol).resolve_split(medium)
     kt = medium.wavenumbers[cid.t]
     ks = medium.wavenumbers[cid.s]
     (a_lo, a_hi), (b_lo, b_hi) = alpha_range, beta_range
     lam_max = max(quadrature.tail_cutoff(a_lo + b_lo, rtol, max(kt, ks)), 1.5 * k_split)
-    branch = sorted(set(medium.wavenumbers))
     probes = [
         (a_lo, b_lo, 0.0),
         (a_lo, b_lo, x_max),
@@ -535,29 +536,40 @@ def probe_by_probe_rule(medium, cid, alpha_range, beta_range, x_max, rtol):
         (a_hi, b_hi, x_max),
         (0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi), 0.5 * x_max),
     ]
-    edges = None
+
+    def path(u):
+        return quadrature.below_axis_path(u, k_split, x_max)
+
+    edges = [set(), set()]
     for alpha, beta, X in probes:
         e_sym = quadrature._exp_factor_half(medium, cid, alpha, beta, X)
 
-        def f(lam, dinfo=None, _e=e_sym):
-            return sigma_component_batch(medium, lam, cid, dinfo=dinfo) * _e(lam, dinfo)
+        def f(lam, _e=e_sym):
+            return sigma_component_batch(medium, lam, cid) * _e(lam)
 
-        segs = quadrature._build_segments(f, 0.0, lam_max, branch, x_max)
-        edges = edges or [set() for _ in segs]
+        def f_path(u, _f=f):
+            lam, jac = path(u)
+            return _f(lam) * jac
+
+        segs = quadrature._build_segments(f_path, 0.0, k_split, [], x_max)
+        segs += quadrature._build_segments(f, k_split, lam_max, [], x_max)
         for si, ua, ub in adaptive_segments(segs, rtol).spans:
             edges[si].update((ua, ub))
-    nodes, weights = [], []
-    for seg, seg_edges in zip(segs, edges):
+    lam, w, sig = [], [], []
+    for si, seg_edges in enumerate(edges):
         seg_edges = sorted(seg_edges)
+        nodes, weights = [], []
         for ua, ub in zip(seg_edges[:-1], seg_edges[1:]):
             half = 0.5 * (ub - ua)
-            lam, jac, _ = seg.map(0.5 * (ua + ub) + half * GK_NODES)
-            nodes.append(lam)
+            u = 0.5 * (ua + ub) + half * GK_NODES
+            x, jac = path(u) if si == 0 else (u, 1.0)
+            nodes.append(x)
             weights.append(half * GK_WEIGHTS * jac)
-    nodes = np.concatenate(nodes)
-    order = np.argsort(nodes, kind="stable")
-    lam = nodes[order]
-    return lam, np.concatenate(weights)[order], sigma_component_batch(medium, lam, cid)
+        nodes = np.concatenate(nodes)
+        lam.append(nodes)
+        w.append(np.concatenate(weights))
+        sig.append(sigma_component_batch(medium, nodes, cid))
+    return np.concatenate(lam), np.concatenate(w), np.concatenate(sig)
 
 
 def _two_layer_rules(alpha_range, beta_range, x_max):
@@ -606,9 +618,63 @@ class TestFrozenRule:
         for i in range(40):
             assert batch[i] == pytest.approx(rule.eval_one(a[i], b[i], X[i]), rel=1e-12)
 
-    def test_rejects_guided_mode_medium(self):
-        with pytest.raises(DomainError):
-            FrozenComponentRule(SLAB, UPUP, (0.1, 1.0), (0.1, 1.0), 2.0)
+    @pytest.mark.parametrize(
+        "medium, cid, x, xp",
+        [
+            (SLAB, UPUP, (0.9, 0.4), (0.0, 0.6)),
+            (SLAB, ReactionComponentId(0, 1, Dir.UP, Dir.UP), (1.1, 0.3), (0.2, -0.6)),
+            *[(THREE_LAYER, c, *THREE_LAYER_PAIR) for c in admissible_components(1, 1, 2)],
+        ],
+        ids=["slab-00", "slab-01", "middle-0", "middle-1", "middle-2", "middle-3"],
+    )
+    def test_lossy_limit_on_guided_and_interior_layers(self, medium, cid, x, xp):
+        # the path passes below the surface-wave poles; on a shared
+        # interior layer the rule gives the lossy limit, evaluate_component
+        # the principal value, and they differ by i pi R_c E(k_t)
+        alpha, beta, X = quadrature.component_geometry(medium, cid, x, xp)
+        rule = FrozenComponentRule(medium, cid, (alpha, alpha), (beta, beta), abs(X), rtol=1e-10)
+        want = evaluate_component(medium, cid, x, xp, ContourSpec(rtol=1e-11))
+        if quadrature.has_branch_pole(medium, cid):
+            k_t = medium.wavenumbers[cid.t]
+            e_kt = quadrature._exp_factor_half(medium, cid, alpha, beta, X)(np.array([k_t]))[0]
+            want += 1j * math.pi * quadrature._branch_residue(medium, cid) * e_kt
+        lossy = evaluate_component(medium, cid, x, xp, LOSSY)
+        got = rule.eval_one(alpha, beta, X)
+        assert abs(got - want) < 1e-8 * abs(want)
+        assert abs(got - lossy) < 1e-6 * abs(lossy)
+
+    def test_sigma_comes_from_the_probes_memo(self, monkeypatch):
+        # every panel of the union is one a probe took, so the build solves
+        # no sigma once its probes finish
+        solves = []
+        probes_done = []
+        solve = quadrature.sigma_component_batch
+        family = quadrature.adaptive_family
+
+        def counting(*args, **kwargs):
+            solves.append(bool(probes_done))
+            return solve(*args, **kwargs)
+
+        def probing(*args, **kwargs):
+            yield from family(*args, **kwargs)
+            probes_done.append(1)
+
+        monkeypatch.setattr(quadrature, "sigma_component_batch", counting)
+        monkeypatch.setattr(quadrature, "adaptive_family", probing)
+        for medium, cid, ranges, x_max in (
+            (TWO_LAYER, UPUP, (0.02, 1.02), 4.7),
+            (SLAB, ReactionComponentId(1, 1, Dir.DOWN, Dir.UP), (0.05, 0.9), 1.5),
+        ):
+            probes_done.clear()
+            solves.clear()
+            rule = FrozenComponentRule(medium, cid, ranges, ranges, x_max, rtol=5e-8)
+            assert probes_done and solves and not any(solves)
+            # the memo's rows are those of one solve over every node
+            n = rule._n_path
+            fresh = np.concatenate(
+                [solve(medium, rule.lam[:n], cid), solve(medium, rule.lam[n:].real, cid)]
+            )
+            np.testing.assert_allclose(rule.sig, fresh, rtol=1e-13, atol=0)
 
     def test_one_sigma_solve_per_distinct_panel(self, monkeypatch):
         # the probes adapt on identical segments, so their shared panels
@@ -625,7 +691,7 @@ class TestFrozenRule:
             TWO_LAYER, UPUP, (0.02, 1.0), (0.02, 1.0), 0.5, rtol=5e-8
         )
         assert len(seen) == len(set(seen))
-        assert rule.n_nodes == 435
+        assert rule.n_nodes == 465
 
     @pytest.mark.parametrize(
         "medium, cid, alpha_range, beta_range, x_max",
@@ -740,7 +806,11 @@ def _dense_family(lam, dinfo, params):
 def _anchored_family(lam, dinfo, params):
     """An inverse-sqrt singularity at lambda = 1, rebuilt from dinfo."""
     a = np.array(params)[:, :1]
-    return np.exp(-a * lam) / np.sqrt(np.abs(hsq(lam, 1.0, dinfo))) + 0j
+    h2 = hsq(lam, 1.0)
+    if dinfo is not None:
+        anchor, delta = dinfo  # anchor (n, 1), NaN on rows without one
+        h2 = np.where(anchor == 1.0, delta * (2.0 + delta), h2)
+    return np.exp(-a * lam) / np.sqrt(np.abs(h2)) + 0j
 
 
 def _factored_family(lam, dinfo, params):

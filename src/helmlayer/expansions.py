@@ -10,7 +10,12 @@ series, and the four operators come out as
     LE coefficients   L_m = int E(x_c^l, x') sigma (i / w_t)^m dlam
     LE basis          K_m = J_m(k_t rho^l) e^{i m tau_t theta^l}
     M2L               A_mp = int E(x_c^l, x_c) sigma (-i w_s)^p (i/w_t)^m dlam
-    L2L / M2M         Toeplitz products with J_n(k rho) e^{i n tau theta} kernels
+    L2L / M2M         Toeplitz matrices of the regular wave J_n(k rho) e^{i n tau theta}
+
+The regular wave is built once, by ``regular_basis``: the ME sums, the
+LE evaluation (``local_values``) and the M2M/L2L matrices
+(``shift_matrix``) take it from there, ``fs_m2l_matrix`` is the one
+free-space M2L, and the FMM applies these builders.
 
 The convergence rate of every truncation is (geometry ratio)^P where the
 denominator is the polarized distance between the evaluation object and
@@ -56,6 +61,7 @@ from .quadrature import (
     tail_cutoff,
 )
 from .special import (
+    MAX_ORDER,
     bessel_j_orders,
     branch_sqrt_arr,
     hankel1_orders,
@@ -70,13 +76,35 @@ def _orders(P):
     return np.arange(-(P - 1), P)
 
 
+def regular_basis(dx, dy, k, nmax, tau=1.0):
+    """J_n(k rho) e^{i n tau theta} of many offsets, n = -nmax..nmax.
+
+    (rho, theta) are the polar coordinates of the offsets (dx, dy); the
+    result has shape (2 nmax + 1, len(dx)), a column per offset.  Every
+    ME sum, LE evaluation and shift kernel is built from it.
+    """
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    j = bessel_j_orders(k * np.hypot(dx, dy), nmax)
+    return j * np.exp(1j * np.outer(np.arange(-nmax, nmax + 1), tau * np.arctan2(dy, dx)))
+
+
 def regular_orders(v, k, nmax, tau=1.0):
     """J_n(k|v|) e^{i n tau arg(v)} for n = -nmax..nmax."""
-    rho = math.hypot(v[0], v[1])
-    th = math.atan2(v[1], v[0])
-    j = bessel_j_orders(np.array([k * rho]), nmax)[:, 0]
-    n = np.arange(-nmax, nmax + 1)
-    return j * np.exp(1j * n * tau * th)
+    return regular_basis([v[0]], [v[1]], k, nmax, tau)[:, 0]
+
+
+def local_values(coeffs, center, pts, k, tau=1.0):
+    """sum_m c_m J_m(k rho) e^{i m tau theta} at each point of pts (n, 2).
+
+    (rho, theta) are the polar coordinates of a point about center and
+    coeffs holds orders -(M-1)..M-1.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    basis = regular_basis(
+        pts[:, 0] - center[0], pts[:, 1] - center[1], k, (len(coeffs) - 1) // 2, tau
+    )
+    return (coeffs[:, None] * basis).sum(axis=0)
 
 
 def _toeplitz(kern, M, P, sign):
@@ -84,10 +112,35 @@ def _toeplitz(kern, M, P, sign):
 
     Rows are the output orders m = -(M-1)..M-1, columns the input orders
     p = -(P-1)..P-1, and kern holds orders -c..c with c >= M + P - 2.
-    T @ coeffs is the order convolution of an M2M (sign +1), and of an
-    L2L or free-space M2L (sign -1).
     """
     return kern[len(kern) // 2 + sign * np.subtract.outer(_orders(M), _orders(P))]
+
+
+# Highest order P whose P-to-P shift (kernel orders up to 2P - 2)
+# ``shift_matrix`` and ``fs_m2l_matrix`` can build
+MAX_SHIFT_ORDER = MAX_ORDER // 2 + 1
+
+
+def shift_matrix(v, k, M, P, sign, tau=1.0):
+    """Matrix of a translation by the offset v, from orders |p| < P to |m| < M.
+
+    Entry (m, p) is R_{sign (m - p)}(v), with R_n = J_n(k|v|) e^{i n tau
+    arg v} the regular wave.  sign +1 with v = (old center - new center)
+    is an M2M, sign -1 with v = (new center - old center) an L2L; the
+    free-space M2M takes tau = -1.
+    """
+    return _toeplitz(regular_orders(v, k, M + P - 2, tau), M, P, sign)
+
+
+def fs_m2l_matrix(b, k, M, P):
+    """Free-space M2L matrix (i/4) O_{p-m}(b), O_n(b) = H_n(k|b|) e^{i n arg b}.
+
+    b = local center - source center; orders |p| < P to |m| < M.
+    """
+    nmax = M + P - 2
+    h = hankel1_orders(np.array([k * math.hypot(*b)]), nmax)[:, 0]
+    n = np.arange(-nmax, nmax + 1)
+    return _toeplitz(0.25j * h * np.exp(1j * n * math.atan2(b[1], b[0])), M, P, -1)
 
 
 @dataclass(frozen=True)
@@ -180,11 +233,8 @@ def _regular_sums(sources, strengths, center, k, P, tau):
     """sum_j q_j J_p(k rho_j) e^{i p tau theta_j}, |p| < P, and max rho_j."""
     dx = sources[:, 0] - center[0]
     dy = sources[:, 1] - center[1]
-    rho = np.hypot(dx, dy)
-    th = np.arctan2(dy, dx)
-    j = bessel_j_orders(k * rho, P - 1)  # (2P-1, n)
-    phases = np.exp(1j * np.outer(_orders(P), tau * th))
-    return (j * phases) @ strengths, float(np.max(rho)) if len(rho) else 0.0
+    sums = regular_basis(dx, dy, k, P - 1, tau) @ strengths
+    return sums, float(np.max(np.hypot(dx, dy))) if len(dx) else 0.0
 
 
 def _power_table(z, z_inv, nmax):
@@ -290,12 +340,12 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
             return both.transpose(0, 2, 1, 3)
         return both[np.arange(n)[:, None], :, (signs < 0).astype(int)]
 
-    def f_sym(lam, dinfo, params):
+    def f_sym(lam, params):
         # the real tail, both signs of X; params are (alpha, beta, X)
         signs = np.tile((1, -1), (lam.shape[0], 1))
         return factors(lam, signs, np.array(params, dtype=complex))
 
-    def f_path(u, dinfo, params):
+    def f_path(u, params):
         # [0, k_split] below the axis, both signs of X
         geo = np.array(params, dtype=complex)
         lam, jac = below_axis_path(u, k_split, geo[:, 2:3].real)
@@ -326,7 +376,7 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
             jac[hyp] = cos_b + 1j * lamp * sin_b / root
         return lam, jac
 
-    def f_cdh(u, dinfo, params):
+    def f_cdh(u, params):
         # one sign of X per panel, on the Cagniard--de Hoop contour
         par = np.array(params, dtype=complex)
         lam, jac = cdh_map(u, par)
@@ -442,13 +492,7 @@ def le_eval(le, x, c0=2.0):
             f"target at {r:.3g} from the local center violates reach > c0*r "
             f"(reach {le.reach:.3g})"
         )
-    m = _orders(le.M)
-    dx, dy = x[0] - le.center[0], x[1] - le.center[1]
-    rho = math.hypot(dx, dy)
-    th = math.atan2(dy, dx)
-    tau_t = le.cid.dir_t.tau
-    j = bessel_j_orders(np.array([le.k_target * rho]), le.M - 1)[:, 0]
-    return complex(np.sum(le.coeffs * j * np.exp(1j * m * tau_t * th)))
+    return complex(local_values(le.coeffs, le.center, x, le.k_target, le.cid.dir_t.tau)[0])
 
 
 def m2l(
@@ -512,11 +556,10 @@ def l2l(le, new_center, P):
     if not le.reach > snorm:
         raise FarFieldError("shift exceeds the expansion's far-field reach")
     M = le.M
-    nmax = max(P + M - 2, 0)
-    kern = regular_orders(shift, le.k_target, nmax, tau=le.cid.dir_t.tau)
     # the sum runs over |p| < P and the input holds |p| < M
     n = min(M, P)
-    coeffs = _toeplitz(kern, M, n, -1) @ le.coeffs[M - n : M + n - 1]
+    T = shift_matrix(shift, le.k_target, M, n, -1, le.cid.dir_t.tau)
+    coeffs = T @ le.coeffs[M - n : M + n - 1]
     return LocalExpansion(
         le.cid, tuple(new_center), le.k_target, le.d_target, coeffs, le.reach - snorm
     )
@@ -529,9 +572,7 @@ def m2m(me, new_center):
         raise DomainError("new center is on the wrong side of the interface")
     shift = (me.center[0] - new_center[0], me.center[1] - new_center[1])
     snorm = math.hypot(*shift)
-    P = me.P
-    kern = regular_orders(shift, me.k_source, 2 * P - 2, tau=tau_s)
-    coeffs = _toeplitz(kern, P, P, 1) @ me.coeffs
+    coeffs = shift_matrix(shift, me.k_source, me.P, me.P, 1, tau_s) @ me.coeffs
     return MultipoleExpansion(
         me.cid, tuple(new_center), me.k_source, me.d_source, coeffs, me.radius + snorm
     )
@@ -581,20 +622,11 @@ def fs_me_eval(fsme, x, c0=2.0):
 
 
 def fs_m2m(fsme, new_center):
-    """Shift alpha_p; kernel is the conjugate-phase regular sequence."""
+    """Shift alpha_p; kernel is the conjugate-phase (tau = -1) regular wave."""
     shift = (fsme.center[0] - new_center[0], fsme.center[1] - new_center[1])
     snorm = math.hypot(*shift)
-    P = fsme.P
-    kern = np.conj(regular_orders(shift, fsme.k, 2 * P - 2))
-    coeffs = _toeplitz(kern, P, P, 1) @ fsme.coeffs
+    coeffs = shift_matrix(shift, fsme.k, fsme.P, fsme.P, 1, -1.0) @ fsme.coeffs
     return FreeSpaceME(tuple(new_center), fsme.k, coeffs, fsme.radius + snorm)
-
-
-def _fs_m2l_kernel(b, k, nmax):
-    """(i/4) O_n(b) = (i/4) H_n(k |b|) e^{i n arg b} for |n| <= nmax."""
-    h = hankel1_orders(np.array([k * math.hypot(*b)]), nmax)[:, 0]
-    n = np.arange(-nmax, nmax + 1)
-    return 0.25j * h * np.exp(1j * n * math.atan2(b[1], b[0]))
 
 
 def fs_m2l(fsme, local_center, M, c0=2.0):
@@ -603,8 +635,7 @@ def fs_m2l(fsme, local_center, M, c0=2.0):
     bnorm = math.hypot(*b)
     if not bnorm > c0 * fsme.radius:
         raise FarFieldError("centers are not well separated")
-    kern = _fs_m2l_kernel(b, fsme.k, fsme.P + M - 2)
-    coeffs = _toeplitz(kern, M, fsme.P, -1) @ fsme.coeffs
+    coeffs = fs_m2l_matrix(b, fsme.k, M, fsme.P) @ fsme.coeffs
     return FreeSpaceLE(tuple(local_center), fsme.k, coeffs, bnorm - fsme.radius)
 
 
@@ -613,8 +644,7 @@ def fs_l2l(fsle, new_center):
     shift = (new_center[0] - fsle.center[0], new_center[1] - fsle.center[1])
     snorm = math.hypot(*shift)
     M = (len(fsle.coeffs) + 1) // 2
-    kern = regular_orders(shift, fsle.k, 2 * M - 2)
-    coeffs = _toeplitz(kern, M, M, -1) @ fsle.coeffs
+    coeffs = shift_matrix(shift, fsle.k, M, M, -1) @ fsle.coeffs
     return FreeSpaceLE(tuple(new_center), fsle.k, coeffs, fsle.reach - snorm)
 
 
@@ -623,9 +653,7 @@ def fs_le_eval(fsle, x):
     rho = math.hypot(dx, dy)
     if not rho < fsle.reach:
         raise FarFieldError("target outside the local expansion's disk")
-    M = (len(fsle.coeffs) + 1) // 2
-    r = regular_orders((dx, dy), fsle.k, M - 1)
-    return complex(np.sum(fsle.coeffs * r))
+    return complex(local_values(fsle.coeffs, fsle.center, x, fsle.k)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ tree is built over targets plus images with the interface snapped onto
 the box grid, so no box ever straddles it and every multipole center
 sits strictly on its correct side.  Its operators are the polarized ME
 about the preimage of a box center, the spectral M2L matrices and the
-generating-function shifts.
+generating-function shifts.  These and the leaf LE evaluation are
+``expansions`` builders, which the FMM only composes.
 
 The translation matrices depend only on the (quantized) image-frame
 offset between box centers, so each level needs a few dozen spectral
@@ -47,16 +48,16 @@ None of the operators depends on the source strengths.  ``evaluate_all``
 builds the operators of its call and drops them when it returns, so
 every call on the same inputs costs the same.  ``FmmPlan`` is the same
 FMM for fixed points: it keeps its operators (layered M2L matrices,
-frozen near-field rules, M2M/L2L shift kernels; read-only arrays) until
+frozen near-field rules, M2M/L2L shift matrices; read-only arrays) until
 it is dropped, so a later ``evaluate`` with new strengths, as an
 iterative solver makes, only applies them.  Within a call or a plan
 each operator is keyed on every input of its build: the component, the
 order P, the contour spec or rtol, and the exact center coordinates
-(for a rule, the exact offset ranges and x range; for a shift kernel,
-the child offset, wavenumber and order).  Shift kernels are built from
-the canonical child offsets (+-1/2 cell on each axis), so each level
-needs four.  Every M2M, L2L and free-space M2L is applied as one
-Toeplitz matrix-vector product per box.
+(for a rule, the exact offset ranges and x range; for a shift matrix,
+the child offset, wavenumber, order, sign and tau).  Shift matrices are
+built for the canonical child offsets (+-1/2 cell on each axis), so each
+level of a pass needs four M2M and four L2L matrices.  Every M2M, L2L
+and M2L is applied as one matrix-vector product per box.
 
 Passes are evaluated in sorted box order with plain accumulation, so
 outputs are bitwise reproducible for a fixed BLAS thread count.  A
@@ -80,15 +81,15 @@ from .medium import (
 )
 from .quadrature import ContourSpec, FrozenComponentRule, SigmaMemo
 from .expansions import (
-    _fs_m2l_kernel,
-    _toeplitz,
+    MAX_SHIFT_ORDER,
     choose_truncation,
+    fs_m2l_matrix,
     fs_me,
+    local_values,
     m2l_family as m2l,  # builds every M2L matrix a pass lacks, in one call
     me_coeffs,
-    regular_orders,
+    shift_matrix,
 )
-from .special import bessel_j_orders
 
 
 @dataclass(frozen=True)
@@ -271,22 +272,24 @@ def _point(x):
     return (float(x[0]), float(x[1]))
 
 
-def _child_kernels(operators, cell, k, P, tau=1.0, flip=1.0):
-    """Shift kernels J_n(k rho) e^{i n tau theta}, |n| <= 2(P-1), by child.
+def _child_shifts(operators, cell, P, sign, frame):
+    """``shift_matrix`` of order P from each child to its parent's center.
 
     A child center sits ((cx - 1/2) cell, (cy - 1/2) cell) from its
-    parent's, cell being the child level's box side; flip = -1 mirrors
-    the y offset, as the preimage frame of a reaction M2M does.
+    parent's, cell being the child level's box side.  frame = (k, tau,
+    flip) is the expansions' wavenumber and orientation, and flip = -1
+    mirrors the y offset, as the preimage frame of a reaction M2M does.
+    sign +1 gives the M2M matrices, sign -1 the L2L ones.
     """
-    nmax = 2 * P - 2
+    k, tau, flip = frame
     out = {}
     for cx in (0, 1):
         for cy in (0, 1):
             v = (float((cx - 0.5) * cell), float(flip * (cy - 0.5) * cell))
             out[cx, cy] = _operator(
                 operators,
-                ("shift", v, k, nmax, tau),
-                lambda: regular_orders(v, k, nmax, tau=tau),
+                ("shift", v, k, P, sign, tau),
+                lambda: shift_matrix(v, k, P, P, sign, tau),
             )
     return out
 
@@ -341,7 +344,6 @@ def _tree(tgt_xy, src_xy, config, align_y=None):
 # onset term takes over.  With C = 0.2 the worst point of every such
 # cloud stayed at or below 0.16 eps for eps = 1e-4 to 1e-8.
 _ORDER_PREFACTOR = 0.2
-_MAX_ORDER = 256  # highest truncation order a pass takes
 
 
 def _pass_order(k, tree, config):
@@ -352,7 +354,9 @@ def _pass_order(k, tree, config):
     (0.308 at c0 = 2, 0.547 for c0 < 1.83) and C = ``_ORDER_PREFACTOR``,
     the prefactor measured on corner-lattice clouds (see there).  At
     c0 = 2 that is P = 8, 11, 15 and 19 at eps = 1e-4, 1e-6, 1e-8 and
-    1e-10, unless the onset term ceil(e k rho_geom) binds.
+    1e-10, unless the onset term ceil(e k rho_geom) binds.  P above
+    ``MAX_SHIFT_ORDER``, the highest order the shift and free-space M2L
+    builders take, raises DomainError.
     """
     n_near = near_radius(config.c0)
     ratio = math.sqrt(0.5) / (n_near + 1 - math.sqrt(0.5))
@@ -360,32 +364,32 @@ def _pass_order(k, tree, config):
     P = choose_truncation(
         ratio, config.eps, k, rho_geom, C_safe=_ORDER_PREFACTOR, P_min=8, c0=config.c0
     )
-    if P > _MAX_ORDER:
+    if P > MAX_SHIFT_ORDER:
         raise DomainError(
-            f"target tolerance needs order {P} > maximum {_MAX_ORDER}"
+            f"target tolerance needs order {P} > maximum {MAX_SHIFT_ORDER}"
         )
     return P
 
 
 def _far_field(
-    tree, leaf_t, leaf_s, far, P, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
-    le_wave, tgt_xy, out, tgt_idx,
+    tree, leaf_t, leaf_s, far, P, leaf_me, far_m2l, me_frame, le_frame,
+    operators, tgt_xy, out, tgt_idx,
 ):
     """Upward pass, M2L and downward pass of one pass; leaf LEs into out.
 
     The boxes and lists are those of ``_tree``.  The pass supplies its
     operators: leaf_me(box, j) gives the ME of its source points j about
-    a leaf box; m2m_kernels(cell) and l2l_kernels(cell) give the shift
-    kernels by child, cell being the child level's box side;
-    far_m2l(lv, b, s) gives the M2L matrix from source box s to target
-    box b at level lv; le_wave = (k, tau) is the wavenumber and
-    orientation of the LE basis.
+    a leaf box; far_m2l(lv, b, s) gives the M2L matrix from source box s
+    to target box b at level lv.  me_frame and le_frame are the (k, tau,
+    y-flip) of the ME and LE bases (see ``_child_shifts``): the M2M
+    matrices are built in the first, the L2L matrices and the leaf LE
+    evaluation (``local_values``) in the second.  Shift matrices are
+    kept in operators.
     """
     level = tree.level
     me_by_level = {level: {b: leaf_me(b, j) for b, j in leaf_s.items()}}
     for lv in range(level - 1, 1, -1):
-        kerns = m2m_kernels(tree.cell_at(lv + 1))
-        up = {c: _toeplitz(kern, P, P, 1) for c, kern in kerns.items()}
+        up = _child_shifts(operators, tree.cell_at(lv + 1), P, 1, me_frame)
         me_by_level[lv] = {}
         for b, coeffs in sorted(me_by_level[lv + 1].items()):
             parent = (b[0] >> 1, b[1] >> 1)
@@ -405,30 +409,18 @@ def _far_field(
                 coeffs += far_m2l(lv, b, s) @ me_by_level[lv][s]
             le_now[b] = coeffs
         if lv < level:
-            kerns = l2l_kernels(tree.cell_at(lv + 1))
-            down = {c: _toeplitz(kern, P, P, -1) for c, kern in kerns.items()}
+            down = _child_shifts(operators, tree.cell_at(lv + 1), P, -1, le_frame)
             le_prev = {}
             for b, coeffs in le_now.items():
                 for (cx, cy), shift in down.items():
                     le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
 
-    k, tau = le_wave
+    k, tau, _ = le_frame
     for b, idx in leaf_t.items():
         if np.any(np.abs(le_now[b])):
-            _eval_local_at(
-                out, tgt_idx[idx], le_now[b], tree.center(b, level), tgt_xy[idx], k, tau, P
+            out[tgt_idx[idx]] += local_values(
+                le_now[b], tree.center(b, level), tgt_xy[idx], k, tau
             )
-
-
-def _eval_local_at(out, global_idx, coeffs, center, pts, k, tau, P):
-    dx = pts[:, 0] - center[0]
-    dy = pts[:, 1] - center[1]
-    rho = np.hypot(dx, dy)
-    th = np.arctan2(dy, dx)
-    j = bessel_j_orders(k * rho, P - 1)  # (2P-1, n)
-    orders = np.arange(-(P - 1), P)
-    phases = np.exp(1j * np.outer(orders, tau * th))
-    out[global_idx] += (coeffs[:, None] * j * phases).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +543,10 @@ def _reaction_pass(
         mat = m2l_cache[m2l_key(lv, b, s)]
         return mat[::-1, ::-1] if b[0] < s[0] else mat
 
-    def m2m_kernels(cell):
-        # the preimage map reverses y, so the y offset flips sign
-        return _child_kernels(operators, cell, k_s, P, tau_s, -tau_s * tau_t)
-
-    def l2l_kernels(cell):
-        return _child_kernels(operators, cell, k_t, P, tau_t)
-
+    # the preimage map reverses y, so the M2M frame's y offset flips sign
     _far_field(
-        tree, leaf_t, leaf_s, far, P, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
-        (k_t, tau_t), tgt_xy, out, tgt_idx,
+        tree, leaf_t, leaf_s, far, P, leaf_me, far_m2l,
+        (k_s, tau_s, -tau_s * tau_t), (k_t, tau_t, 1.0), operators, tgt_xy, out, tgt_idx,
     )
 
 
@@ -594,19 +580,13 @@ def _free_space_pass(
         key = (lv, b[0] - s[0], b[1] - s[1])
         if key not in m2l_cache:
             cb, cs = tree.center(b, lv), tree.center(s, lv)
-            kern = _fs_m2l_kernel((cb[0] - cs[0], cb[1] - cs[1]), k, 2 * P - 2)
-            m2l_cache[key] = _toeplitz(kern, P, P, -1)
+            m2l_cache[key] = fs_m2l_matrix((cb[0] - cs[0], cb[1] - cs[1]), k, P, P)
         return m2l_cache[key]
 
-    def l2l_kernels(cell):
-        return _child_kernels(operators, cell, k, P)
-
-    def m2m_kernels(cell):
-        return {c: np.conj(kern) for c, kern in l2l_kernels(cell).items()}
-
+    # the ME basis is the conjugate-phase (tau = -1) regular wave
     _far_field(
-        tree, leaf_t, leaf_s, far, P, leaf_me, m2m_kernels, far_m2l, l2l_kernels,
-        (k, 1.0), tgt_xy, out, tgt_idx,
+        tree, leaf_t, leaf_s, far, P, leaf_me, far_m2l,
+        (k, -1.0, 1.0), (k, 1.0, 1.0), operators, tgt_xy, out, tgt_idx,
     )
 
 
@@ -641,13 +621,13 @@ class FmmPlan:
     The first ``evaluate`` builds the operators of the points: layered
     M2L matrices keyed on (component, P, contour spec, exact center
     coordinates), frozen near-field rules keyed on (component, exact
-    alpha/beta ranges, x range, rtol) and M2M/L2L shift kernels keyed on
-    (child offset, wavenumber, order, tau).  A later ``evaluate`` with
+    alpha/beta ranges, x range, rtol) and M2M/L2L ``shift_matrix``
+    matrices keyed on (child offset, wavenumber, order, sign, tau).  A later ``evaluate`` with
     new strengths, as an iterative solver makes, builds none of them
     and returns bitwise what ``evaluate_all`` returns for those
     strengths.  The plan keeps copies of the points and its operators,
-    all read-only, until it is dropped: about 2 MB at N = 2000 and
-    eps = 1e-6 on a two-layer medium.
+    all read-only, until it is dropped: about 2.7 MB at N = 2000 and
+    eps = 1e-6 on a two-layer medium, 0.6 MB of it shift matrices.
 
     Every medium is taken, guided ones included: the operators integrate
     on ``quadrature.below_axis_path``, which passes below the surface-wave

@@ -117,17 +117,16 @@ class Segment:
     shape, and a node's value must not depend on the other nodes of the
     call.  Otherwise f is a family integrand shared by the
     segments of many integrals, and params is what sets this segment's
-    integral apart: f(lam, dinfo, params) gets the nodes of n panels as
-    an (n, 15) array, dinfo as None or (anchor, delta) with anchor (n, 1)
-    (NaN on rows without one) and delta (n, 15), and the n panels'
-    params, and returns the values with the panel axis first,
-    (n, 15, ...), or in factored form (c, A, B) with shapes (n, R, 15),
-    (n, R, 15, p) and (n, R, 15, m).  The library's family segments
-    (``expansions._power_family``, ``FrozenComponentRule``) carry no
-    substitution: on [0, k_split] their integrands map the nodes onto
-    ``below_axis_path`` and take the jacobian themselves, which gives
-    each component its lossy limit (on a shared interior layer, the
-    principal value plus i pi R_c E(k_t); the terms cancel in G).
+    integral apart: f(lam, params) gets the nodes of n panels as an
+    (n, 15) array and the n panels' params, and returns the values with
+    the panel axis first, (n, 15, ...), or in factored form (c, A, B)
+    with shapes (n, R, 15), (n, R, 15, p) and (n, R, 15, m).  A family
+    segment carries no substitution: the library's family integrands
+    (``expansions._power_family``, ``FrozenComponentRule``) map the
+    nodes of [0, k_split] onto ``below_axis_path`` and take the jacobian
+    themselves, which gives each component its lossy limit (on a shared
+    interior layer, the principal value plus i pi R_c E(k_t); the terms
+    cancel in G).
     """
 
     f: object
@@ -137,15 +136,14 @@ class Segment:
     min_panels: int = 1
     params: object = None
 
+    def __post_init__(self):
+        if self.params is not None and self.sub != "none":
+            raise DomainError("a family segment carries no substitution")
+
     def u_range(self):
         if self.sub == "none":
             return self.a, self.b
         return 0.0, math.sqrt(self.b - self.a)
-
-    @property
-    def anchor(self):
-        """The branch point a substituted segment hugs, else None."""
-        return {"none": None, "left": self.a, "right": self.b}[self.sub]
 
     def map(self, u):
         """(lambda, jacobian, dinfo); dinfo carries the exact offset.
@@ -159,8 +157,8 @@ class Segment:
             return u, np.ones_like(u), None
         delta = np.maximum(u * u, _TINY)
         if self.sub == "right":
-            delta = -delta
-        return self.anchor + delta, 2.0 * u, (self.anchor, delta)
+            return self.b - delta, 2.0 * u, (self.b, -delta)
+        return self.a + delta, 2.0 * u, (self.a, delta)
 
 
 @dataclass
@@ -215,8 +213,7 @@ def _panel(seg, ua, ub):
     sums each panel with a product of its own.
     """
     if seg.params is not None:
-        n = len(ua)
-        return _family_sums(seg.f, *_family_nodes([seg] * n, ua, ub), [seg.params] * n)
+        return _family_sums(seg.f, *_family_nodes(ua, ub), [seg.params] * len(ua))
     ua = np.asarray(ua, dtype=float)
     ub = np.asarray(ub, dtype=float)
     half = 0.5 * (ub - ua)
@@ -248,38 +245,28 @@ def _dense_sums(fx, jac, half, lam):
     return [(ik[i].reshape(shape).copy(), err[i].reshape(shape).copy()) for i in range(n)]
 
 
-def _family_nodes(segs, ua, ub):
-    """(lam, jac, dinfo, half) of n panels, a row each, as ``Segment.map``.
+def _family_nodes(ua, ub):
+    """(lam, half) of n panels [ua[i], ub[i]]: their GK15 nodes, a row each.
 
-    Every row holds bitwise the nodes, jacobian and offset that the map
-    of its own segment gives.
+    Every row holds bitwise the nodes that ``Segment.map`` of an
+    unsubstituted segment gives.
     """
     ua = np.asarray(ua, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    mid = 0.5 * (ua + ub)
     half = 0.5 * (ub - ua)
-    u = mid[:, None] + half[:, None] * GK_NODES
-    anchor = np.array([np.nan if s.anchor is None else s.anchor for s in segs])[:, None]
-    on = ~np.isnan(anchor)
-    if not on.any():
-        return u, np.ones_like(u), None, half
-    delta = np.maximum(u * u, _TINY)
-    right = [i for i, s in enumerate(segs) if s.sub == "right"]
-    delta[right] = -delta[right]
-    delta[~on[:, 0]] = 0.0
-    lam = np.where(on, anchor + delta, u)
-    jac = np.where(on, 2.0 * u, 1.0)
-    return lam, jac, (anchor, delta), half
+    return 0.5 * (ua + ub)[:, None] + half[:, None] * GK_NODES, half
 
 
-def _family_sums(f, lam, jac, dinfo, half, params):
+def _family_sums(f, lam, half, params):
     """(val, err) of n panels from one call of family integrand f.
 
     A panel's values are bitwise those of ``_panel`` on it alone (the
     same elementwise operations and one GEMM per panel), whatever panels
-    share the call; ``adaptive_family`` relies on that.
+    share the call; ``adaptive_family`` relies on that.  The nodes are
+    unsubstituted, so the jacobian is 1.
     """
-    fx = f(lam, dinfo, params)
+    fx = f(lam, params)
+    jac = np.ones_like(lam)
     if isinstance(fx, tuple):
         ik, ig, ok = _factored_sums(*fx, half[:, None] * jac)
         if not ok.all():
@@ -485,7 +472,7 @@ def adaptive_family(members, rtol, *, max_panels=6000):
         def flush(f):
             ks = queues[f]
             segs = [panels[k][1] for k in ks]
-            nodes = _family_nodes(segs, [panels[k][2] for k in ks], [panels[k][3] for k in ks])
+            nodes = _family_nodes([panels[k][2] for k in ks], [panels[k][3] for k in ks])
             for k, value in zip(ks, _family_sums(f, *nodes, [s.params for s in segs])):
                 i = panels[k][0]
                 values[i].append((k, value))
@@ -1215,8 +1202,8 @@ class FrozenComponentRule:
     O((n_t + n_s) * nodes) exponentials.  That is what FMM near fields
     and ``direct_sum`` use.  |cos lam x| grows as e^{d |x|} on the path,
     so abscissae should stay within about x_max of their origin; ``turn``
-    moves moments to another origin.  ``eval_batch`` and ``eval_one``
-    evaluate pair by pair and are the oracle for it.
+    moves moments to another origin.  ``eval_batch`` evaluates pair by
+    pair and is the oracle for it.
 
     Every medium is taken.  On a shared interior layer the component is
     its lossy limit, the principal value plus i pi R_c E(k_t); those
@@ -1258,13 +1245,13 @@ class FrozenComponentRule:
         # once per distinct panel
         sig = SigmaMemo(medium, cid)
 
-        def f_tail(lam, dinfo, params):
+        def f_tail(lam, params):
             alpha, beta, X = np.array(params).T[:, :, None]
             return sig.rows(lam) * _exp_factor_half(medium, cid, alpha, beta, X)(lam)
 
-        def f_path(u, dinfo, params):
+        def f_path(u, params):
             lam, jac = below_axis_path(u, k_split, x_max)
-            return f_tail(lam, dinfo, params) * jac
+            return f_tail(lam, params) * jac
 
         members = [
             (
@@ -1283,10 +1270,12 @@ class FrozenComponentRule:
         blocks = []
         for seg, e in zip((path, tail), edges):
             e = sorted(set(e))
-            lam, jac, _, half = _family_nodes([seg] * (len(e) - 1), e[:-1], e[1:])
+            lam, half = _family_nodes(e[:-1], e[1:])
+            w = half[:, None] * GK_WEIGHTS
             if seg is path:
                 lam, jac = below_axis_path(lam, k_split, x_max)
-            blocks.append((lam, half[:, None] * GK_WEIGHTS * jac, sig.rows(lam)))
+                w = w * jac
+            blocks.append((lam, w, sig.rows(lam)))
         self._n_path = blocks[0][0].size
         self.lam, self.w, self.sig = (np.concatenate([b[i].ravel() for b in blocks]) for i in range(3))
         self.ht = branch_sqrt_arr(hsq(self.lam, kt))
@@ -1301,10 +1290,6 @@ class FrozenComponentRule:
         """(node slice, nodes) of the complex path block and the real tail."""
         n = self._n_path
         return (slice(None, n), self.lam[:n]), (slice(n, None), self.lam[n:].real)
-
-    def eval_one(self, alpha, beta, X):
-        e = np.exp(-self.ht * alpha - self.hs * beta)
-        return complex(np.sum(self._wsig * e * 2.0 * np.cos(self.lam * X)))
 
     def source_moments(self, beta, x, q):
         """Per-node sums (C, S) of sources with offsets beta, abscissae x.

@@ -29,6 +29,7 @@ from helmlayer.special import branch_sqrt_arr, hankel1_orders, hsq, w_from_h
 from helmlayer.expansions import (
     FreeSpaceME,
     LocalExpansion,
+    MultipoleExpansion,
     _orders,
     _power_family,
     choose_truncation,
@@ -49,6 +50,7 @@ from helmlayer.expansions import (
     me_eval,
     me_expansion_functions,
     partial_sum_errors,
+    regular_basis,
     regular_orders,
 )
 
@@ -484,6 +486,21 @@ def loop_l2l(le, new_center, P):
     return coeffs
 
 
+def loop_m2m(src, kern):
+    """The scalar double loop of an M2M whose kernel holds orders
+    -(2P-2)..2P-2, kept as the reference."""
+    P = (len(src) + 1) // 2
+    nmax = 2 * P - 2
+    orders = _orders(P)
+    coeffs = np.zeros(2 * P - 1, dtype=complex)
+    for i, m in enumerate(orders):
+        acc = 0.0 + 0.0j
+        for jdx, p in enumerate(orders):
+            acc += src[jdx] * kern[(m - p) + nmax]
+        coeffs[i] = acc
+    return coeffs
+
+
 def loop_fs_m2l(fsme, local_center, M):
     """The scalar double loop fs_m2l was written as, kept as the reference."""
     b = (local_center[0] - fsme.center[0], local_center[1] - fsme.center[1])
@@ -523,6 +540,34 @@ class TestToeplitzTranslations:
         want = loop_l2l(le, new_c, P)
         assert got.shape == (2 * M - 1,)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("P", [5, 9, 11])
+    @pytest.mark.parametrize("shift", ["m2m", "fs_m2m"])
+    def test_m2m_matches_loop(self, shift, P):
+        center, new_c = (0.1, 0.7), (0.02, 0.78)
+        coeffs = self.coeffs(P, 57 + P)
+        v = (center[0] - new_c[0], center[1] - new_c[1])
+        if shift == "m2m":
+            me = MultipoleExpansion(UPUP, center, 1.3, 0.0, coeffs, radius=0.4)
+            got = m2m(me, new_c).coeffs
+            kern = regular_orders(v, 1.3, 2 * P - 2, tau=UPUP.dir_s.tau)
+        else:
+            got = fs_m2m(FreeSpaceME(center, 1.3, coeffs, radius=0.4), new_c).coeffs
+            # the conjugate-phase kernel, as fs_m2m used to build it
+            kern = np.conj(regular_orders(v, 1.3, 2 * P - 2))
+        want = loop_m2m(coeffs, kern)
+        assert got.shape == (2 * P - 1,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_regular_basis_columns_are_regular_orders(self):
+        # k |v| <= 12 keeps every argument on the ascending series, where
+        # a Bessel value does not depend on the other arguments of a call
+        v = np.random.default_rng(59).uniform(-3.0, 3.0, (7, 2))
+        for tau in (1.0, -1.0):
+            basis = regular_basis(v[:, 0], v[:, 1], 1.3, 10, tau)
+            assert basis.shape == (21, 7)
+            for i, vi in enumerate(v):
+                assert np.array_equal(basis[:, i], regular_orders(vi, 1.3, 10, tau))
 
     @pytest.mark.parametrize("M, P", [(6, 11), (9, 9), (12, 5)])
     def test_fs_m2l_matches_loop(self, M, P):
@@ -661,9 +706,9 @@ class TestFactoredPowerFamily:
         panels = []
         sums = quadrature._family_sums
 
-        def recording(f, lam, jac, *args):
-            panels.extend(zip(map(bytes, lam), map(bytes, jac)))
-            return sums(f, lam, jac, *args)
+        def recording(f, lam, *args):
+            panels.extend(map(bytes, lam))
+            return sums(f, lam, *args)
 
         monkeypatch.setattr(quadrature, "_family_sums", recording)
         rows = _solved_rows(monkeypatch)

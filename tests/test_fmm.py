@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import helmlayer
-from helmlayer import fmm, quadrature
-from helmlayer.errors import ValidationError
+from helmlayer import expansions, fmm, quadrature
+from helmlayer.errors import DomainError, ValidationError
 from helmlayer.medium import (
     Dir,
     ReactionComponentId,
@@ -559,6 +560,22 @@ class TestTruncationOrder:
         tight = [got[eps] for eps in sorted(want, reverse=True)]
         assert all(p <= q for a, b in zip(tight, tight[1:]) for p, q in zip(a, b))
 
+    def test_order_cap_is_what_the_shift_builders_take(self):
+        # the onset term asks P = 215 of a 100-wide tree at k = 1.5, whose
+        # shifts would need Bessel orders up to 428 > special.MAX_ORDER
+        config = FmmConfig()
+        with pytest.raises(DomainError):
+            fmm._pass_order(1.5, QuadTree([[0, 0.5], [100, 0.6]], 2), config)
+        # a 60-wide tree takes the highest order, and its shifts build
+        tree = QuadTree([[0, 0.5], [60, 0.6]], 2)
+        P = fmm._pass_order(1.5, tree, config)
+        assert P == expansions.MAX_SHIFT_ORDER == 129
+        for sign in (1, -1):
+            shifts = fmm._child_shifts({}, tree.cell_at(2), P, sign, (1.5, 1.0, 1.0))
+            for T in shifts.values():
+                assert T.shape == (2 * P - 1, 2 * P - 1)
+                assert np.isfinite(T).all()
+
     def test_c0_below_1_83_uses_its_own_ratio(self):
         # c0 = 1.5 gives near radius 1, whose worst-case ratio is 0.547
         # (> 1/2, the validity limit at c0 = 2)
@@ -590,10 +607,23 @@ def _count_builds(monkeypatch):
     monkeypatch.setattr(
         fmm, "FrozenComponentRule", counting("rule", fmm.FrozenComponentRule)
     )
-    monkeypatch.setattr(
-        fmm, "regular_orders", counting("shift", fmm.regular_orders)
-    )
+    monkeypatch.setattr(fmm, "shift_matrix", counting("shift", fmm.shift_matrix))
     return counts
+
+
+def test_fmm_imports_no_private_expansions_name():
+    # the FMM applies the operators expansions.py builds, through its
+    # public builders, and re-derives none of them
+    module = ast.parse(Path(fmm.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "expansions"), (0, "helmlayer.expansions"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 class TestFmmPlan:

@@ -603,7 +603,7 @@ class TestFrozenRule:
             X = rng.uniform(-3.0, 3.0)
             x, xp = (X, a), (0.0, b)
             want = evaluate_component(TWO_LAYER, UPUP, x, xp, ContourSpec(rtol=1e-11))
-            got = rule.eval_one(a, b, X)
+            (got,) = rule.eval_batch([a], [b], [X])
             assert abs(got - want) < 5e-8 * max(abs(want), 1e-3)
 
     def test_batch_matches_scalar(self):
@@ -615,8 +615,9 @@ class TestFrozenRule:
         b = rng.uniform(0.2, 1.0, 40)
         X = rng.uniform(-2.0, 2.0, 40)
         batch = rule.eval_batch(a, b, X, chunk=7)
+        whole = rule.eval_batch(a, b, X, chunk=40)
         for i in range(40):
-            assert batch[i] == pytest.approx(rule.eval_one(a[i], b[i], X[i]), rel=1e-12)
+            assert batch[i] == pytest.approx(whole[i], rel=1e-12)
 
     @pytest.mark.parametrize(
         "medium, cid, x, xp",
@@ -639,7 +640,7 @@ class TestFrozenRule:
             e_kt = quadrature._exp_factor_half(medium, cid, alpha, beta, X)(np.array([k_t]))[0]
             want += 1j * math.pi * quadrature._branch_residue(medium, cid) * e_kt
         lossy = evaluate_component(medium, cid, x, xp, LOSSY)
-        got = rule.eval_one(alpha, beta, X)
+        (got,) = rule.eval_batch([alpha], [beta], [X])
         assert abs(got - want) < 1e-8 * abs(want)
         assert abs(got - lossy) < 1e-6 * abs(lossy)
 
@@ -730,7 +731,7 @@ class TestFrozenRule:
         assert max(sizes) == quadrature._PANEL_CHUNK
 
 
-def _factored(lam, dinfo=None):
+def _factored(lam):
     """Two terms of c * outer(A, B) with smooth, order-dependent rows."""
     lam = np.asarray(lam, dtype=float)
     p = np.arange(-3, 4)
@@ -741,7 +742,7 @@ def _factored(lam, dinfo=None):
     return c, A, B
 
 
-def _factored_panels(lam, dinfo, params):
+def _factored_panels(lam, params):
     """``_factored`` as a family integrand: n panels, nodes lam (n, 15)."""
     c, A, B = zip(*(_factored(row) for row in lam))
     return np.stack(c), np.stack(A), np.stack(B)
@@ -756,12 +757,12 @@ def _one_member(f, layout, rtol):
 
 class TestFactoredIntegrand:
     def test_matches_dense_integrand(self):
-        def dense(lam, dinfo, params):
-            c, A, B = _factored_panels(lam, dinfo, params)
+        def dense(lam, params):
+            c, A, B = _factored_panels(lam, params)
             f = np.einsum("krn,krnp,krnm->knpm", c, A, B)
             return f.reshape(f.shape[0], f.shape[1], -1)
 
-        layout = [(0.0, 1.0, "left", 2), (1.0, 6.0, "none", 3)]
+        layout = [(0.0, 1.0, "none", 2), (1.0, 6.0, "none", 3)]
         got, ref = (_one_member(f, layout, 1e-12) for f in (_factored_panels, dense))
         assert got.value.shape == ref.value.shape == (35,)
         assert got.n_panels == ref.n_panels
@@ -770,8 +771,8 @@ class TestFactoredIntegrand:
         assert np.max(np.abs(got.value - ref.value)) <= 1e-14 * scale
 
     def test_non_finite_factor_raises(self):
-        def bad(lam, dinfo, params):
-            c, A, B = _factored_panels(lam, dinfo, params)
+        def bad(lam, params):
+            c, A, B = _factored_panels(lam, params)
             B[:, 1, 4, 2] = np.nan
             return c, A, B
 
@@ -781,8 +782,8 @@ class TestFactoredIntegrand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_product_raises(self):
         # every factor finite, their products not
-        def big(lam, dinfo, params):
-            c, A, B = _factored_panels(lam, dinfo, params)
+        def big(lam, params):
+            c, A, B = _factored_panels(lam, params)
             return c * 1e300, A * 1e10, B
 
         with pytest.raises(ToleranceNotReachedError):
@@ -794,7 +795,7 @@ class TestFactoredIntegrand:
 # ---------------------------------------------------------------------------
 
 
-def _dense_family(lam, dinfo, params):
+def _dense_family(lam, params):
     """Two components with a per-panel decay a and frequency b."""
     a, b = np.array(params).T[:, :, None]
     return np.stack(
@@ -803,17 +804,13 @@ def _dense_family(lam, dinfo, params):
     )
 
 
-def _anchored_family(lam, dinfo, params):
-    """An inverse-sqrt singularity at lambda = 1, rebuilt from dinfo."""
+def _scalar_family(lam, params):
+    """One component with an inverse-sqrt singularity at lambda = 1."""
     a = np.array(params)[:, :1]
-    h2 = hsq(lam, 1.0)
-    if dinfo is not None:
-        anchor, delta = dinfo  # anchor (n, 1), NaN on rows without one
-        h2 = np.where(anchor == 1.0, delta * (2.0 + delta), h2)
-    return np.exp(-a * lam) / np.sqrt(np.abs(h2)) + 0j
+    return np.exp(-a * lam) / np.sqrt(np.abs(hsq(lam, 1.0))) + 0j
 
 
-def _factored_family(lam, dinfo, params):
+def _factored_family(lam, params):
     """Two terms of c * outer(A, B); c carries a per-panel decay."""
     s = np.array(params)[:, :1]
     p = np.arange(-3, 4)
@@ -836,7 +833,6 @@ def _family_members(f, params, layout):
 
 
 DENSE_LAYOUT = [(0.0, 2.0, "none", 2), (2.0, 9.0, "none", 3)]
-ANCHORED_LAYOUT = [(0.0, 1.0, "right", 2), (1.0, 2.0, "left", 2), (2.0, 8.0, "none", 2)]
 
 
 class TestAdaptiveFamily:
@@ -844,10 +840,9 @@ class TestAdaptiveFamily:
         "f, params, layout",
         [
             (_dense_family, [(0.5, 1.0), (2.0, 7.0), (1.0, 15.0), (0.3, 0.0)], DENSE_LAYOUT),
-            (_anchored_family, [(0.2,), (1.0,), (3.0,)], ANCHORED_LAYOUT),
             (_factored_family, [(0.5,), (4.0,), (1.5,)], DENSE_LAYOUT),
         ],
-        ids=["dense", "anchored", "factored"],
+        ids=["dense", "factored"],
     )
     def test_members_take_their_own_panels(self, monkeypatch, f, params, layout):
         # the family refines each member exactly as a run of its own; the
@@ -873,19 +868,18 @@ class TestAdaptiveFamily:
     def test_batched_panels_are_bitwise_single_panels(self):
         # the property every identical choice rests on
         segs = [
-            Segment(_anchored_family, a, b, sub, 1, p)
-            for (a, b, sub, _), p in zip(ANCHORED_LAYOUT * 2, [(0.2,), (1.0,)] * 3)
+            Segment(_scalar_family, a, b, sub, 1, p)
+            for (a, b, sub, _), p in zip(DENSE_LAYOUT * 3, [(0.2,), (1.0,)] * 3)
         ]
-        ua = [0.1, 0.2, 0.3, 0.0, 0.5, 2.5]
-        ub = [0.6, 0.9, 4.0, 0.4, 0.8, 7.0]
-        nodes = quadrature._family_nodes(segs, ua, ub)
-        batch = quadrature._family_sums(_anchored_family, *nodes, [s.params for s in segs])
+        ua = [0.1, 2.2, 0.3, 3.0, 0.5, 2.5]
+        ub = [0.6, 4.0, 1.9, 8.5, 0.8, 7.0]
+        nodes = quadrature._family_nodes(ua, ub)
+        batch = quadrature._family_sums(_scalar_family, *nodes, [s.params for s in segs])
         for i, (seg, a, b, got) in enumerate(zip(segs, ua, ub, batch)):
-            # each row maps as its own segment does
+            # each row holds the nodes its own segment maps
             u = 0.5 * (a + b) + 0.5 * (b - a) * quadrature.GK_NODES
-            lam, jac, _ = seg.map(u)
+            lam, _, _ = seg.map(u)
             assert np.array_equal(nodes[0][i], lam)
-            assert np.array_equal(nodes[1][i], jac)
             (want,) = quadrature._panel(seg, [a], [b])
             assert len(got) == len(want) == 2
             for g, w in zip(got, want):
@@ -902,14 +896,19 @@ class TestAdaptiveFamily:
         assert np.array_equal(family.value.value, alone.value.value)
         assert np.array_equal(family.value.err, alone.value.err)
 
+    @pytest.mark.parametrize("sub", ["left", "right"])
+    def test_family_segment_refuses_a_substitution(self, sub):
+        # family nodes are never sqrt-substituted, so a segment that asks
+        # for it fails at once instead of integrating in the wrong variable
+        with pytest.raises(DomainError):
+            Segment(_dense_family, 0.0, 1.0, sub, 1, (0.5, 1.0))
+
 
 def _one_panel(f, params):
     """Family integrand f as the integrand of one segment, a panel a call."""
 
-    def g(lam, dinfo=None):
-        if dinfo is not None:
-            dinfo = (np.array([[dinfo[0]]]), dinfo[1][None])
-        return f(lam[None], dinfo, [params])[0]
+    def g(lam):
+        return f(lam[None], [params])[0]
 
     return g
 
@@ -926,10 +925,8 @@ def _tensordot_sums(seg, ua, ub):
 
 
 @pytest.mark.parametrize("n", [1, quadrature._PANEL_CHUNK])
-@pytest.mark.parametrize(
-    "layout", [DENSE_LAYOUT, ANCHORED_LAYOUT], ids=["unanchored", "anchored"]
-)
-@pytest.mark.parametrize("f", [_dense_family, _anchored_family], ids=["vector", "scalar"])
+@pytest.mark.parametrize("layout", [DENSE_LAYOUT], ids=["unanchored"])
+@pytest.mark.parametrize("f", [_dense_family, _scalar_family], ids=["vector", "scalar"])
 def test_dense_family_sums_are_bitwise_single_panels(f, layout, n):
     # a chunk of dense panels sums each panel as _panel sums it alone,
     # which is what np.tensordot gave
@@ -941,7 +938,7 @@ def test_dense_family_sums_are_bitwise_single_panels(f, layout, n):
         lo, hi = np.sort(rng.uniform(*segs[-1].u_range(), 2))
         ua.append(lo)
         ub.append(hi)
-    nodes = quadrature._family_nodes(segs, ua, ub)
+    nodes = quadrature._family_nodes(ua, ub)
     batch = quadrature._family_sums(f, *nodes, [s.params for s in segs])
     assert len(batch) == n
     for seg, a, b, got in zip(segs, ua, ub, batch):

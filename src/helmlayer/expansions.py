@@ -58,6 +58,7 @@ from .quadrature import (
     _build_segments,
     below_axis_path,
     component_abs_floor,
+    component_offsets,
     tail_cutoff,
 )
 from .special import (
@@ -429,22 +430,8 @@ def _power_family(medium, cid, geometries, p_orders, m_orders, spec, sigma=None)
 def me_expansion_functions(medium, cid, x, x_c, P, spec=None):
     """I_p(x, x_c) for all |p| < P (shared sigma samples across orders)."""
     spec = spec or ContourSpec()
-    geometry = component_geometry_centers(medium, cid, x, x_c)
+    geometry = component_offsets(medium, cid, x, x_c)
     return _power_family(medium, cid, [geometry], _orders(P), [0], spec)[0][0]
-
-
-def component_geometry_centers(medium, cid, x1, x2):
-    """Like component_geometry but x1/x2 need not be inside their layers;
-    only the propagating-side inequalities are enforced (centers may sit
-    anywhere on the correct side of their interfaces)."""
-    cid.validate(medium.n_interfaces)
-    d_t = relevant_interface(medium, cid.t, cid.dir_t)
-    d_s = relevant_interface(medium, cid.s, cid.dir_s)
-    alpha = cid.dir_t.tau * (x1[1] - d_t)
-    beta = cid.dir_s.tau * (x2[1] - d_s)
-    if not (alpha > 0 and beta > 0):
-        raise DomainError("points must lie on their propagating sides")
-    return alpha, beta, x1[0] - x2[0]
 
 
 def me_eval(medium, me, x, spec=None, c0=2.0):
@@ -472,7 +459,7 @@ def le_coeffs_direct(medium, cid, x_c_l, sources, strengths, M, spec=None):
         raise DomainError("local center is on the wrong side of its interface")
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     strengths = np.atleast_1d(np.asarray(strengths, dtype=complex))
-    geometries = [component_geometry_centers(medium, cid, x_c_l, xy) for xy in sources]
+    geometries = [component_offsets(medium, cid, x_c_l, xy) for xy in sources]
     lms = _power_family(medium, cid, geometries, [0], _orders(M), spec)
     total = np.zeros(2 * M - 1, dtype=complex)
     reach = math.inf
@@ -529,7 +516,7 @@ def m2l_family(medium, cid, centers, M, P, spec=None, sigma=None):
     """
     spec = spec or ContourSpec()
     geometries = [
-        component_geometry_centers(medium, cid, x_c_l, x_c) for x_c_l, x_c in centers
+        component_offsets(medium, cid, x_c_l, x_c) for x_c_l, x_c in centers
     ]
     return _power_family(medium, cid, geometries, _orders(P), _orders(M), spec, sigma)
 

@@ -22,15 +22,15 @@ The translation matrices depend only on the (quantized) image-frame
 offset between box centers, so each level needs a few dozen spectral
 quadratures regardless of N.  The interaction lists of every level
 depend only on the tree, so a pass lists them first (each level once)
-and builds every matrix it lacks in one lockstep family
+and builds all its matrices in one lockstep family
 (``expansions.m2l_family``): the quadratures refine independently, with
 the panels a build of their own takes, while each round evaluates the
 new panels of all of them in chunked integrand calls.  They share a
 ``SigmaMemo``: each call solves the interface system in one go for the
 node arrays of its chunk that no earlier call met, so matrices that
 start from the same panels, or run on the same (H, X) contour, never
-solve an array twice.  The memo is local to the pass and goes when it
-returns.  A matrix is bitwise what ``m2l`` builds for its pair alone.
+solve an array twice.  The memo goes when the build is done.  A matrix
+is bitwise what ``m2l`` builds for its pair alone.
 Near-field interactions go through a frozen composite rule that shares
 one interface solve per node across every pair, in separable form:
 per-node moments of each source leaf about its column, turned to each
@@ -44,20 +44,19 @@ and direct Hankel sums in its near field; a target that coincides with
 a source gets no free-space term from it (the reaction terms stay
 finite there and are kept).
 
-None of the operators depends on the source strengths.  ``evaluate_all``
-builds the operators of its call and drops them when it returns, so
-every call on the same inputs costs the same.  ``FmmPlan`` is the same
-FMM for fixed points: it keeps its operators (layered M2L matrices,
-frozen near-field rules, M2M/L2L shift matrices; read-only arrays) until
-it is dropped, so a later ``evaluate`` with new strengths, as an
-iterative solver makes, only applies them.  Within a call or a plan
-each operator is keyed on every input of its build: the component, the
-order P, the contour spec or rtol, and the exact center coordinates
-(for a rule, the exact offset ranges and x range; for a shift matrix,
-the child offset, wavenumber, order, sign and tau).  Shift matrices are
-built for the canonical child offsets (+-1/2 cell on each axis), so each
-level of a pass needs four M2M and four L2L matrices.  Every M2M, L2L
-and M2L is applied as one matrix-vector product per box.
+None of the operators depends on the source strengths, so a pass is a
+fixed object built from the points: ``_reaction_pass`` and
+``_free_space_pass`` build the tree, interaction lists, near-field rule,
+M2L matrices and M2M/L2L shift matrices of their pass (read-only
+arrays), apply them to the strengths they are given and return an
+``apply(q, out, idx)`` that builds nothing.  ``FmmPlan`` keeps those
+applies, so a later ``evaluate`` with new strengths, as an iterative
+solver makes, only runs them; ``evaluate_all`` drops each pass as soon
+as it has been applied, so every call on the same inputs costs the
+same.  Shift matrices are built for the canonical child offsets (+-1/2
+cell on each axis), so each level of a pass needs four M2M and four L2L
+matrices.  Every M2M, L2L and M2L is applied as one matrix-vector
+product per box.
 
 Passes are evaluated in sorted box order with plain accumulation, so
 outputs are bitwise reproducible for a fixed BLAS thread count.  A
@@ -67,6 +66,7 @@ move results in the last bits (about 1e-16 relative).
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +86,7 @@ from .expansions import (
     fs_m2l_matrix,
     fs_me,
     local_values,
-    m2l_family as m2l,  # builds every M2L matrix a pass lacks, in one call
+    m2l_family as m2l,  # builds all the M2L matrices of a pass in one call
     me_coeffs,
     shift_matrix,
 )
@@ -115,6 +115,14 @@ class FmmConfig:
             raise ValidationError("c0 must exceed 1")
 
 
+def _points(xy, what):
+    """xy as a new float (n, 2) array; ValidationError unless finite (n, 2)."""
+    xy = np.array(xy, dtype=float, ndmin=2)
+    if xy.ndim != 2 or xy.shape[1] != 2 or not np.isfinite(xy).all():
+        raise ValidationError(f"{what} need a finite (n, 2) array of points")
+    return xy
+
+
 @dataclass(frozen=True)
 class SourceSet:
     """Point sources with strengths."""
@@ -123,10 +131,10 @@ class SourceSet:
     q: np.ndarray
 
     def __post_init__(self):
-        xy = np.atleast_2d(np.asarray(self.xy, dtype=float))
+        xy = _points(self.xy, "sources")
         q = np.atleast_1d(np.asarray(self.q, dtype=complex))
-        if xy.shape[0] != q.shape[0] or xy.shape[1] != 2:
-            raise ValidationError("sources need matching (n, 2) and (n,) arrays")
+        if q.shape != (xy.shape[0],) or not np.isfinite(q).all():
+            raise ValidationError("sources need finite strengths, one per point")
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "q", q)
 
@@ -232,48 +240,37 @@ def interaction_lists(tgt_boxes, src_boxes, c0):
     return near, far
 
 
-def _layers_of_batch(medium, ys):
+def _layer_pairs(medium, tgt_xy, src_xy):
+    """(t, s, tgt_sel, src_sel) for every layer t holding targets and s
+    holding sources, in sorted order; tgt_sel and src_sel index the
+    points of those layers."""
     depths = np.asarray(medium.interface_depths)
-    if np.any(np.isin(ys, depths)):
-        raise DomainError("a point sits exactly on an interface")
-    return np.sum(ys[:, None] < depths[None, :], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# operators of a call or a plan
-# ---------------------------------------------------------------------------
+    layers = []
+    for xy in (tgt_xy, src_xy):
+        if np.any(np.isin(xy[:, 1], depths)):
+            raise DomainError("a point sits exactly on an interface")
+        layers.append(np.sum(xy[:, 1, None] < depths[None, :], axis=1))
+    t_layers, s_layers = layers
+    return [
+        (t, s, np.nonzero(t_layers == t)[0], np.nonzero(s_layers == s)[0])
+        for t in sorted(set(t_layers.tolist()))
+        for s in sorted(set(s_layers.tolist()))
+    ]
 
 
 def _freeze(value):
-    """Make the arrays of an operator read-only."""
+    """value, with its arrays made read-only."""
     if isinstance(value, np.ndarray):
         arrays = [value]
     else:
         arrays = [a for a in vars(value).values() if isinstance(a, np.ndarray)]
     for a in arrays:
         a.flags.writeable = False
-
-
-def _operator(operators, key, build):
-    """operators[key]; on a miss build() makes it, read-only.
-
-    A key names every input of a build, so a hit returns bitwise what the
-    build returns.
-    """
-    value = operators.get(key)
-    if value is None:
-        value = build()
-        _freeze(value)
-        operators[key] = value
     return value
 
 
-def _point(x):
-    return (float(x[0]), float(x[1]))
-
-
-def _child_shifts(operators, cell, P, sign, frame):
-    """``shift_matrix`` of order P from each child to its parent's center.
+def _child_shifts(cell, P, sign, frame):
+    """Read-only ``shift_matrix`` of order P from each child to its parent's center.
 
     A child center sits ((cx - 1/2) cell, (cy - 1/2) cell) from its
     parent's, cell being the child level's box side.  frame = (k, tau,
@@ -286,11 +283,7 @@ def _child_shifts(operators, cell, P, sign, frame):
     for cx in (0, 1):
         for cy in (0, 1):
             v = (float((cx - 0.5) * cell), float(flip * (cy - 0.5) * cell))
-            out[cx, cy] = _operator(
-                operators,
-                ("shift", v, k, P, sign, tau),
-                lambda: shift_matrix(v, k, P, P, sign, tau),
-            )
+            out[cx, cy] = _freeze(shift_matrix(v, k, P, P, sign, tau))
     return out
 
 
@@ -371,56 +364,58 @@ def _pass_order(k, tree, config):
     return P
 
 
-def _far_field(
-    tree, leaf_t, leaf_s, far, P, leaf_me, far_m2l, me_frame, le_frame,
-    operators, tgt_xy, out, tgt_idx,
-):
-    """Upward pass, M2L and downward pass of one pass; leaf LEs into out.
+def _far_field(tree, leaf_t, far, P, far_m2l, me_frame, le_frame, tgt_xy):
+    """Upward pass, M2L and downward pass of one pass, as an apply.
 
-    The boxes and lists are those of ``_tree``.  The pass supplies its
-    operators: leaf_me(box, j) gives the ME of its source points j about
-    a leaf box; far_m2l(lv, b, s) gives the M2L matrix from source box s
-    to target box b at level lv.  me_frame and le_frame are the (k, tau,
-    y-flip) of the ME and LE bases (see ``_child_shifts``): the M2M
-    matrices are built in the first, the L2L matrices and the leaf LE
-    evaluation (``local_values``) in the second.  Shift matrices are
-    kept in operators.
+    The boxes and lists are those of ``_tree``, and far_m2l(lv, b, s)
+    looks up the M2L matrix from source box s to target box b at level
+    lv.  me_frame and le_frame are the (k, tau, y-flip) of the ME and LE
+    bases (see ``_child_shifts``): the M2M matrices are built here in
+    the first, the L2L matrices and the leaf LE evaluation
+    (``local_values``) in the second.  The returned apply(leaf_me, out,
+    tgt_idx) takes the leaf MEs (source leaf box -> coefficients), runs
+    the passes and adds the leaf LEs at the targets into out; it builds
+    nothing.
     """
     level = tree.level
-    me_by_level = {level: {b: leaf_me(b, j) for b, j in leaf_s.items()}}
-    for lv in range(level - 1, 1, -1):
-        up = _child_shifts(operators, tree.cell_at(lv + 1), P, 1, me_frame)
-        me_by_level[lv] = {}
-        for b, coeffs in sorted(me_by_level[lv + 1].items()):
-            parent = (b[0] >> 1, b[1] >> 1)
-            acc = me_by_level[lv].setdefault(
-                parent, np.zeros(2 * P - 1, dtype=complex)
-            )
-            acc += up[b[0] & 1, b[1] & 1] @ coeffs
-
-    le_prev = {}
-    for lv, far_lv in far.items():
-        le_now = {}
-        for b, far_b in far_lv.items():
-            coeffs = np.zeros(2 * P - 1, dtype=complex)
-            if b in le_prev:
-                coeffs += le_prev[b]
-            for s in far_b:
-                coeffs += far_m2l(lv, b, s) @ me_by_level[lv][s]
-            le_now[b] = coeffs
-        if lv < level:
-            down = _child_shifts(operators, tree.cell_at(lv + 1), P, -1, le_frame)
-            le_prev = {}
-            for b, coeffs in le_now.items():
-                for (cx, cy), shift in down.items():
-                    le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
-
+    up = {lv: _child_shifts(tree.cell_at(lv + 1), P, 1, me_frame) for lv in range(2, level)}
+    down = {lv: _child_shifts(tree.cell_at(lv + 1), P, -1, le_frame) for lv in range(2, level)}
     k, tau, _ = le_frame
-    for b, idx in leaf_t.items():
-        if np.any(np.abs(le_now[b])):
-            out[tgt_idx[idx]] += local_values(
-                le_now[b], tree.center(b, level), tgt_xy[idx], k, tau
-            )
+
+    def apply(leaf_me, out, tgt_idx):
+        me_by_level = {level: leaf_me}
+        for lv in range(level - 1, 1, -1):
+            me_by_level[lv] = {}
+            for b, coeffs in sorted(me_by_level[lv + 1].items()):
+                parent = (b[0] >> 1, b[1] >> 1)
+                acc = me_by_level[lv].setdefault(
+                    parent, np.zeros(2 * P - 1, dtype=complex)
+                )
+                acc += up[lv][b[0] & 1, b[1] & 1] @ coeffs
+
+        le_prev = {}
+        for lv, far_lv in far.items():
+            le_now = {}
+            for b, far_b in far_lv.items():
+                coeffs = np.zeros(2 * P - 1, dtype=complex)
+                if b in le_prev:
+                    coeffs += le_prev[b]
+                for s in far_b:
+                    coeffs += far_m2l(lv, b, s) @ me_by_level[lv][s]
+                le_now[b] = coeffs
+            if lv < level:
+                le_prev = {}
+                for b, coeffs in le_now.items():
+                    for (cx, cy), shift in down[lv].items():
+                        le_prev[2 * b[0] + cx, 2 * b[1] + cy] = shift @ coeffs
+
+        for b, idx in leaf_t.items():
+            if np.any(np.abs(le_now[b])):
+                out[tgt_idx[idx]] += local_values(
+                    le_now[b], tree.center(b, level), tgt_xy[idx], k, tau
+                )
+
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +423,10 @@ def _far_field(
 # ---------------------------------------------------------------------------
 
 
-def _reaction_pass(
-    medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx, operators
-):
+def _reaction_pass(medium, cid, src_xy, src_q, tgt_xy, config, out, tgt_idx):
+    """Pass of one reaction component: built from the points, applied to
+    src_q into out[tgt_idx], and returned as an apply(src_q, out, tgt_idx)
+    that builds nothing."""
     d_t = relevant_interface(medium, cid.t, cid.dir_t)
     d_s = relevant_interface(medium, cid.s, cid.dir_s)
     tau_t = cid.dir_t.tau
@@ -449,11 +445,8 @@ def _reaction_pass(
     x_near = float((near_radius(config.c0) + 1.5) * tree.cell)
     a_range = (float(alphas.min()), float(alphas.max()))
     b_range = (float(betas.min()), float(betas.max()))
-    rtol = config.eps * 5e-2
-    rule = _operator(
-        operators,
-        ("rule", cid, a_range, b_range, x_near, rtol),
-        lambda: FrozenComponentRule(medium, cid, a_range, b_range, x_near, rtol=rtol),
+    rule = _freeze(
+        FrozenComponentRule(medium, cid, a_range, b_range, x_near, rtol=config.eps * 5e-2)
     )
 
     # near field, separable in x: a source leaf is folded into per-node
@@ -467,58 +460,33 @@ def _reaction_pass(
 
     n_near = near_radius(config.c0)
     turns = {dx: rule.turn(dx * tree.cell) for dx in range(-n_near, n_near + 1) if dx}
-    moments = {}
-
-    def leaf_moments(s, dx):
-        # about the center line of the column dx cells before leaf s's
-        if (s, 0) not in moments:
-            j = leaf_s[s]
-            moments[s, 0] = rule.source_moments(
-                betas[j], src_xy[j, 0] - center_x(s), src_q[j]
-            )
-        if (s, dx) not in moments:
-            (C, S), (cos, sin) = moments[s, 0], turns[dx]
-            moments[s, dx] = (C * cos - S * sin, S * cos + C * sin)
-        return moments[s, dx]
-
-    for b in leaf_t:
-        near_moments = [leaf_moments(s, s[0] - b[0]) for s in near[b] if s in leaf_s]
-        if not near_moments:
-            continue
-        C = sum(m[0] for m in near_moments)
-        S = sum(m[1] for m in near_moments)
-        tl = leaf_t[b]
-        out[tgt_idx[tl]] += rule.eval_moments(
-            alphas[tl], tgt_xy[tl, 0] - center_x(b), C, S
-        )
+    near_src = {b: [(s, s[0] - b[0]) for s in near[b] if s in leaf_s] for b in leaf_t}
 
     P = _pass_order(k_s, tree, config)
-    spec = ContourSpec(rtol=max(config.eps * 1e-2, 2e-11))
-
-    def leaf_me(b, j):
-        # multipole coefficients about the preimage of the box center
-        x_c = polarization_preimage(medium, cid, tree.center(b, tree.level))
-        return me_coeffs(medium, cid, x_c, src_xy[j], src_q[j], P).coeffs
+    # multipole coefficients are taken about the preimage of a leaf center
+    me_centers = {
+        b: polarization_preimage(medium, cid, tree.center(b, tree.level)) for b in leaf_s
+    }
 
     # For equal wavenumbers an M2L matrix depends only on the image-frame
     # offset; across a wavenumber contrast h_t and h_s enter separately,
-    # so the cache key also carries both rows (far pairs with distinct
-    # layers hug the interface, keeping the number of distinct keys per
-    # level O(1) either way).
+    # so the key also carries both rows (far pairs with distinct layers
+    # hug the interface, keeping the number of distinct keys per level
+    # O(1) either way).
     same_k = k_t == k_s
 
     def m2l_key(lv, b, s):
         dix = b[0] - s[0]
         return (lv, abs(dix), b[1] - s[1]) if same_k else (lv, abs(dix), b[1], s[1])
 
-    # every matrix of the pass, with the centers of the first far pair
-    # (by level, target box, source box) that uses it
-    builds = {}
+    # the centers of the first far pair (by level, target box, source
+    # box) of every key; all matrices are built as one lockstep family
+    centers = {}
     for lv, far_lv in far.items():
         for b, far_b in far_lv.items():
             for s in far_b:
                 key = m2l_key(lv, b, s)
-                if key in builds:
+                if key in centers:
                     continue
                 x_cl = tree.center(b, lv)
                 x_c = polarization_preimage(medium, cid, tree.center(s, lv))
@@ -527,27 +495,54 @@ def _reaction_pass(
                     # gives A(-X) = A(X) with both order axes reversed, so
                     # one quadrature serves both signs
                     x_c = (2 * x_cl[0] - x_c[0], x_c[1])
-                builds[key] = ("m2l", cid, P, spec, _point(x_cl), _point(x_c))
-    # the ones the call or plan lacks are built as one lockstep family,
-    # sharing one sigma memo that is dropped on return
-    missing = list(dict.fromkeys(op for op in builds.values() if op not in operators))
-    if missing:
-        sigma = SigmaMemo(medium, cid)
-        centers = [op[4:] for op in missing]
-        for op, mat in zip(missing, m2l(medium, cid, centers, P, P, spec, sigma)):
-            _freeze(mat)
-            operators[op] = mat
-    m2l_cache = {key: operators[op] for key, op in builds.items()}
+                centers[key] = (x_cl, x_c)
+    spec = ContourSpec(rtol=max(config.eps * 1e-2, 2e-11))
+    mats = m2l(medium, cid, list(centers.values()), P, P, spec, SigmaMemo(medium, cid))
+    m2l_mats = {key: _freeze(mat) for key, mat in zip(centers, mats)}
 
     def far_m2l(lv, b, s):
-        mat = m2l_cache[m2l_key(lv, b, s)]
+        mat = m2l_mats[m2l_key(lv, b, s)]
         return mat[::-1, ::-1] if b[0] < s[0] else mat
 
     # the preimage map reverses y, so the M2M frame's y offset flips sign
-    _far_field(
-        tree, leaf_t, leaf_s, far, P, leaf_me, far_m2l,
-        (k_s, tau_s, -tau_s * tau_t), (k_t, tau_t, 1.0), operators, tgt_xy, out, tgt_idx,
+    far_field = _far_field(
+        tree, leaf_t, far, P, far_m2l, (k_s, tau_s, -tau_s * tau_t), (k_t, tau_t, 1.0), tgt_xy
     )
+
+    def apply(src_q, out, tgt_idx):
+        moments = {}
+
+        def leaf_moments(s, dx):
+            # about the center line of the column dx cells before leaf s's
+            if (s, 0) not in moments:
+                j = leaf_s[s]
+                moments[s, 0] = rule.source_moments(
+                    betas[j], src_xy[j, 0] - center_x(s), src_q[j]
+                )
+            if (s, dx) not in moments:
+                (C, S), (cos, sin) = moments[s, 0], turns[dx]
+                moments[s, dx] = (C * cos - S * sin, S * cos + C * sin)
+            return moments[s, dx]
+
+        for b, near_b in near_src.items():
+            near_moments = [leaf_moments(s, dx) for s, dx in near_b]
+            if not near_moments:
+                continue
+            C = sum(m[0] for m in near_moments)
+            S = sum(m[1] for m in near_moments)
+            tl = leaf_t[b]
+            out[tgt_idx[tl]] += rule.eval_moments(
+                alphas[tl], tgt_xy[tl, 0] - center_x(b), C, S
+            )
+
+        leaf_me = {
+            b: me_coeffs(medium, cid, me_centers[b], src_xy[j], src_q[j], P).coeffs
+            for b, j in leaf_s.items()
+        }
+        far_field(leaf_me, out, tgt_idx)
+
+    apply(src_q, out, tgt_idx)
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -555,39 +550,51 @@ def _reaction_pass(
 # ---------------------------------------------------------------------------
 
 
-def _free_space_pass(
-    medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx, operators
-):
+def _free_space_pass(medium, layer, src_xy, src_q, tgt_xy, config, out, tgt_idx):
+    """Free-space pass of one layer: built from the points, applied
+    like ``_reaction_pass``'s and returned as its apply."""
     k = medium.wavenumbers[layer]
     tree, leaf_t, leaf_s, near, far = _tree(tgt_xy, src_xy, config)
 
-    # near field: direct Hankel sums
+    # near field: direct Hankel sums over the points of the near leaves
+    near_src = []
     for b, tl in leaf_t.items():
         src_boxes = [s for s in near[b] if s in leaf_s]
-        if not src_boxes:
-            continue
-        sl = np.concatenate([leaf_s[s] for s in src_boxes])
-        out[tgt_idx[tl]] += _hankel_sum(k, tgt_xy[tl], src_xy[sl], src_q[sl])
+        if src_boxes:
+            near_src.append((tl, np.concatenate([leaf_s[s] for s in src_boxes])))
 
     P = _pass_order(k, tree, config)
 
-    def leaf_me(b, j):
-        return fs_me(src_xy[j], src_q[j], tree.center(b, tree.level), k, P).coeffs
-
-    m2l_cache = {}
+    # one matrix per box offset of a level, from the first far pair that
+    # has it
+    m2l_mats = {}
+    for lv, far_lv in far.items():
+        for b, far_b in far_lv.items():
+            for s in far_b:
+                key = (lv, b[0] - s[0], b[1] - s[1])
+                if key not in m2l_mats:
+                    cb, cs = tree.center(b, lv), tree.center(s, lv)
+                    m2l_mats[key] = _freeze(
+                        fs_m2l_matrix((cb[0] - cs[0], cb[1] - cs[1]), k, P, P)
+                    )
 
     def far_m2l(lv, b, s):
-        key = (lv, b[0] - s[0], b[1] - s[1])
-        if key not in m2l_cache:
-            cb, cs = tree.center(b, lv), tree.center(s, lv)
-            m2l_cache[key] = fs_m2l_matrix((cb[0] - cs[0], cb[1] - cs[1]), k, P, P)
-        return m2l_cache[key]
+        return m2l_mats[lv, b[0] - s[0], b[1] - s[1]]
 
     # the ME basis is the conjugate-phase (tau = -1) regular wave
-    _far_field(
-        tree, leaf_t, leaf_s, far, P, leaf_me, far_m2l,
-        (k, -1.0, 1.0), (k, 1.0, 1.0), operators, tgt_xy, out, tgt_idx,
-    )
+    far_field = _far_field(tree, leaf_t, far, P, far_m2l, (k, -1.0, 1.0), (k, 1.0, 1.0), tgt_xy)
+
+    def apply(src_q, out, tgt_idx):
+        for tl, sl in near_src:
+            out[tgt_idx[tl]] += _hankel_sum(k, tgt_xy[tl], src_xy[sl], src_q[sl])
+        leaf_me = {
+            b: fs_me(src_xy[j], src_q[j], tree.center(b, tree.level), k, P).coeffs
+            for b, j in leaf_s.items()
+        }
+        far_field(leaf_me, out, tgt_idx)
+
+    apply(src_q, out, tgt_idx)
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -602,32 +609,31 @@ def evaluate_all(medium, sources, targets, config=None):
     it, so targets may be the sources themselves; the reaction terms are
     finite there (alpha + beta > 0) and are kept.
 
-    The call builds its operators and drops them when it returns, so
-    every call on the same inputs costs the same.  To apply one set of
-    operators to many strength vectors on fixed points, use ``FmmPlan``.
+    Each pass is dropped once applied, so every call on the same inputs
+    costs the same.  To apply the passes to many strength vectors on
+    fixed points, use ``FmmPlan``.
     """
-    return FmmPlan(medium, sources.xy, targets, config).evaluate(sources.q)
-
-
-def _frozen_points(xy):
-    xy = np.array(xy, dtype=float, ndmin=2)
-    xy.flags.writeable = False
-    return xy
+    plan = FmmPlan(medium, sources.xy, targets, config)
+    out = np.zeros(plan.targets.shape[0], dtype=complex)
+    # consume the passes without holding one past its use
+    deque(plan._passes_of(sources.q, out), maxlen=0)
+    return out
 
 
 class FmmPlan:
     """``evaluate_all`` for fixed source positions and targets.
 
-    The first ``evaluate`` builds the operators of the points: layered
-    M2L matrices keyed on (component, P, contour spec, exact center
-    coordinates), frozen near-field rules keyed on (component, exact
-    alpha/beta ranges, x range, rtol) and M2M/L2L ``shift_matrix``
-    matrices keyed on (child offset, wavenumber, order, sign, tau).  A later ``evaluate`` with
-    new strengths, as an iterative solver makes, builds none of them
-    and returns bitwise what ``evaluate_all`` returns for those
-    strengths.  The plan keeps copies of the points and its operators,
-    all read-only, until it is dropped: about 2.7 MB at N = 2000 and
-    eps = 1e-6 on a two-layer medium, 0.6 MB of it shift matrices.
+    Every pass of the FMM depends on the points alone.  The first
+    ``evaluate`` builds each pass (its tree, interaction lists,
+    near-field rule, M2L matrices and M2M/L2L shift matrices, all
+    read-only) and applies it; the plan keeps each pass's apply, so a
+    later ``evaluate`` with new strengths, as an iterative solver makes,
+    builds none of them and returns bitwise what ``evaluate_all``
+    returns for those strengths.  The plan keeps read-only copies of the
+    points and its passes until it is dropped: about 6.7 MB at N = 2000
+    and eps = 1e-6 on a two-layer medium, of which 2.0 MB are layered
+    M2L matrices, 1.9 MB free-space M2L matrices and 0.7 MB shift
+    matrices (tracemalloc, after the first ``evaluate``).
 
     Every medium is taken, guided ones included: the operators integrate
     on ``quadrature.below_axis_path``, which passes below the surface-wave
@@ -640,34 +646,37 @@ class FmmPlan:
 
     def __init__(self, medium, source_xy, targets, config=None):
         self.medium = medium
-        self.source_xy = _frozen_points(source_xy)
-        self.targets = _frozen_points(targets)
-        self._t_layers = _layers_of_batch(medium, self.targets[:, 1])
-        self._s_layers = _layers_of_batch(medium, self.source_xy[:, 1])
+        self.source_xy = _freeze(_points(source_xy, "sources"))
+        self.targets = _freeze(_points(targets, "targets"))
         self.config = config or FmmConfig()
-        self._operators = {}
+        self._pairs = _layer_pairs(medium, self.targets, self.source_xy)
+        self._passes = None
 
     def evaluate(self, strengths):
         """Total field at the targets for these source strengths."""
-        medium, config, targets = self.medium, self.config, self.targets
-        sources = SourceSet(self.source_xy, strengths)
-        t_layers, s_layers = self._t_layers, self._s_layers
-        out = np.zeros(targets.shape[0], dtype=complex)
-        L = medium.n_interfaces
-        for t in sorted(set(t_layers.tolist())):
-            tgt_sel = np.nonzero(t_layers == t)[0]
-            for s in sorted(set(s_layers.tolist())):
-                src_sel = np.nonzero(s_layers == s)[0]
-                points = (sources.xy[src_sel], sources.q[src_sel], targets[tgt_sel])
-                for cid in admissible_components(t, s, L):
-                    _reaction_pass(
-                        medium, cid, *points, config, out, tgt_sel, self._operators
-                    )
-                if s == t:
-                    _free_space_pass(
-                        medium, t, *points, config, out, tgt_sel, self._operators
-                    )
+        q = SourceSet(self.source_xy, strengths).q
+        out = np.zeros(self.targets.shape[0], dtype=complex)
+        if self._passes is None:
+            self._passes = list(self._passes_of(q, out))
+        else:
+            for tgt_sel, src_sel, apply in self._passes:
+                apply(q[src_sel], out, tgt_sel)
         return out
+
+    def _passes_of(self, q, out):
+        """Build every pass in turn, apply it to q into out, and yield
+        (tgt_sel, src_sel, apply)."""
+        medium, config = self.medium, self.config
+        for t, s, tgt_sel, src_sel in self._pairs:
+            points = (self.source_xy[src_sel], q[src_sel], self.targets[tgt_sel])
+            for cid in admissible_components(t, s, medium.n_interfaces):
+                yield tgt_sel, src_sel, _reaction_pass(
+                    medium, cid, *points, config, out, tgt_sel
+                )
+            if s == t:
+                yield tgt_sel, src_sel, _free_space_pass(
+                    medium, t, *points, config, out, tgt_sel
+                )
 
 
 def direct_sum(medium, sources, targets, rtol=1e-8):
@@ -685,43 +694,37 @@ def direct_sum(medium, sources, targets, rtol=1e-8):
     Like ``evaluate_all``, a zero-distance source/target pair contributes
     no free-space term; its reaction terms are kept.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    t_layers = _layers_of_batch(medium, targets[:, 1])
-    s_layers = _layers_of_batch(medium, sources.xy[:, 1])
+    targets = _points(targets, "targets")
     out = np.zeros(targets.shape[0], dtype=complex)
-    L = medium.n_interfaces
-    for t in sorted(set(t_layers.tolist())):
-        tgt_sel = np.nonzero(t_layers == t)[0]
+    for t, s, tgt_sel, src_sel in _layer_pairs(medium, targets, sources.xy):
         txy = targets[tgt_sel]
-        for s in sorted(set(s_layers.tolist())):
-            src_sel = np.nonzero(s_layers == s)[0]
-            sxy = sources.xy[src_sel]
-            sq = sources.q[src_sel]
-            x_lo = min(np.min(txy[:, 0]), np.min(sxy[:, 0]))
-            x_hi = max(np.max(txy[:, 0]), np.max(sxy[:, 0]))
-            # abscissae from the middle of the x span keep lam * x small
-            x_ref = 0.5 * (x_lo + x_hi)
-            for cid in admissible_components(t, s, L):
-                d_t = relevant_interface(medium, cid.t, cid.dir_t)
-                d_s = relevant_interface(medium, cid.s, cid.dir_s)
-                alphas = cid.dir_t.tau * (txy[:, 1] - d_t)
-                betas = cid.dir_s.tau * (sxy[:, 1] - d_s)
-                a_range = (float(alphas.min()), float(alphas.max()))
-                b_range = (float(betas.min()), float(betas.max()))
-                x_span = float(x_hi - x_lo)
-                rule = FrozenComponentRule(medium, cid, a_range, b_range, x_span, rtol)
-                C = S = 0.0
-                for j in _row_blocks(sxy.shape[0], rule.n_nodes):
-                    c_j, s_j = rule.source_moments(betas[j], sxy[j, 0] - x_ref, sq[j])
-                    C, S = C + c_j, S + s_j
-                for i in _row_blocks(txy.shape[0], rule.n_nodes):
-                    out[tgt_sel[i]] += rule.eval_moments(
-                        alphas[i], txy[i, 0] - x_ref, C, S
-                    )
-            if s == t:
-                k = medium.wavenumbers[t]
-                for i in _row_blocks(txy.shape[0], sxy.shape[0]):
-                    out[tgt_sel[i]] += _hankel_sum(k, txy[i], sxy, sq)
+        sxy = sources.xy[src_sel]
+        sq = sources.q[src_sel]
+        x_lo = min(np.min(txy[:, 0]), np.min(sxy[:, 0]))
+        x_hi = max(np.max(txy[:, 0]), np.max(sxy[:, 0]))
+        # abscissae from the middle of the x span keep lam * x small
+        x_ref = 0.5 * (x_lo + x_hi)
+        for cid in admissible_components(t, s, medium.n_interfaces):
+            d_t = relevant_interface(medium, cid.t, cid.dir_t)
+            d_s = relevant_interface(medium, cid.s, cid.dir_s)
+            alphas = cid.dir_t.tau * (txy[:, 1] - d_t)
+            betas = cid.dir_s.tau * (sxy[:, 1] - d_s)
+            a_range = (float(alphas.min()), float(alphas.max()))
+            b_range = (float(betas.min()), float(betas.max()))
+            x_span = float(x_hi - x_lo)
+            rule = FrozenComponentRule(medium, cid, a_range, b_range, x_span, rtol)
+            C = S = 0.0
+            for j in _row_blocks(sxy.shape[0], rule.n_nodes):
+                c_j, s_j = rule.source_moments(betas[j], sxy[j, 0] - x_ref, sq[j])
+                C, S = C + c_j, S + s_j
+            for i in _row_blocks(txy.shape[0], rule.n_nodes):
+                out[tgt_sel[i]] += rule.eval_moments(
+                    alphas[i], txy[i, 0] - x_ref, C, S
+                )
+        if s == t:
+            k = medium.wavenumbers[t]
+            for i in _row_blocks(txy.shape[0], sxy.shape[0]):
+                out[tgt_sel[i]] += _hankel_sum(k, txy[i], sxy, sq)
     return out
 
 

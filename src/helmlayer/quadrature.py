@@ -607,20 +607,28 @@ def _branch_residue(medium, cid):
     return complex((4 * v12 - v01) / 3)
 
 
+def component_offsets(medium, cid, x1, x2):
+    """Vertical offsets (alpha, beta) and horizontal separation X; only the
+    propagating-side rule is enforced, so x1 and x2 (expansion centers,
+    say) may sit anywhere on the correct side of their interfaces."""
+    cid.validate(medium.n_interfaces)
+    d_t = relevant_interface(medium, cid.t, cid.dir_t)
+    d_s = relevant_interface(medium, cid.s, cid.dir_s)
+    alpha = cid.dir_t.tau * (x1[1] - d_t)
+    beta = cid.dir_s.tau * (x2[1] - d_s)
+    if not (alpha > 0 and beta > 0):
+        raise DomainError("component geometry violates the propagating-side rule")
+    return alpha, beta, x1[0] - x2[0]
+
+
 def component_geometry(medium, cid, x, xp):
-    """Vertical offsets (alpha, beta) and horizontal separation X."""
+    """``component_offsets`` of a target x and a source xp in their layers."""
     cid.validate(medium.n_interfaces)
     if layer_of(medium, x[1]) != cid.t:
         raise DomainError(f"target {x} is not in layer {cid.t}")
     if layer_of(medium, xp[1]) != cid.s:
         raise DomainError(f"source {xp} is not in layer {cid.s}")
-    d_t = relevant_interface(medium, cid.t, cid.dir_t)
-    d_s = relevant_interface(medium, cid.s, cid.dir_s)
-    alpha = cid.dir_t.tau * (x[1] - d_t)
-    beta = cid.dir_s.tau * (xp[1] - d_s)
-    if not (alpha > 0 and beta > 0):
-        raise DomainError("component geometry violates the propagating-side rule")
-    return alpha, beta, x[0] - xp[0]
+    return component_offsets(medium, cid, x, xp)
 
 
 def _exp_factor_half(medium, cid, alpha, beta, X):

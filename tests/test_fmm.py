@@ -82,6 +82,49 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SourceSet(np.zeros((3, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "xy, q",
+        [
+            (np.zeros((3, 3)), np.zeros(3)),
+            ([[0.0, np.nan]], [1.0]),
+            ([[np.inf, 0.5]], [1.0]),
+            ([[0.0, 0.5]], [np.nan]),
+            ([[0.0, 0.5]], [[1.0]]),
+        ],
+        ids=["columns", "nan_point", "inf_point", "nan_strength", "strength_shape"],
+    )
+    def test_sources_must_be_finite_n_by_2(self, xy, q):
+        with pytest.raises(ValidationError):
+            SourceSet(xy, q)
+
+
+class TestPointValidation:
+    # points from outside are checked once, before any tree is built
+    SOURCES = SourceSet([[0.1, 0.5], [-0.3, -0.4]], [1.0, 2.0])
+    ENTRIES = {
+        "evaluate_all": lambda src, tgt: evaluate_all(TWO_LAYER, src, tgt),
+        "plan": lambda src, tgt: FmmPlan(TWO_LAYER, src.xy, tgt).evaluate(src.q),
+        "direct_sum": lambda src, tgt: direct_sum(TWO_LAYER, src, tgt),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize(
+        "targets",
+        [[[0.2, np.nan], [0.1, 0.3]], [[np.inf, 0.3]], np.full((2, 3), 0.5), np.full((2, 2, 2), 0.5)],
+        ids=["nan", "inf", "three_columns", "three_axes"],
+    )
+    def test_bad_targets_raise_validation_error(self, entry, targets):
+        with pytest.raises(ValidationError):
+            self.ENTRIES[entry](self.SOURCES, targets)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_plan_checks_its_source_points_and_strengths(self, bad):
+        with pytest.raises(ValidationError):
+            FmmPlan(TWO_LAYER, [[0.1, bad]], [[0.2, 0.3]])
+        plan = FmmPlan(TWO_LAYER, self.SOURCES.xy, [[0.2, 0.3]])
+        with pytest.raises(ValidationError):
+            plan.evaluate([1.0, bad])
+
 
 class TestQuadTree:
     def test_every_point_in_one_leaf(self):
@@ -493,21 +536,17 @@ class TestCornerLattice:
 
 def pass_orders(medium, src_xy, tgt, config):
     """P of every pass of FmmPlan.evaluate, in its order, from the trees alone."""
-    t_layers = fmm._layers_of_batch(medium, tgt[:, 1])
-    s_layers = fmm._layers_of_batch(medium, src_xy[:, 1])
     orders = []
-    for t in sorted(set(t_layers.tolist())):
-        txy = tgt[t_layers == t]
-        for s in sorted(set(s_layers.tolist())):
-            sxy = src_xy[s_layers == s]
-            for cid in admissible_components(t, s, medium.n_interfaces):
-                images = polarization_image_batch(medium, cid, sxy)
-                d_t = relevant_interface(medium, cid.t, cid.dir_t)
-                tree = fmm._tree(txy, images, config, align_y=d_t)[0]
-                orders.append(fmm._pass_order(medium.wavenumbers[s], tree, config))
-            if s == t:
-                tree = fmm._tree(txy, sxy, config)[0]
-                orders.append(fmm._pass_order(medium.wavenumbers[t], tree, config))
+    for t, s, tgt_sel, src_sel in fmm._layer_pairs(medium, tgt, src_xy):
+        txy, sxy = tgt[tgt_sel], src_xy[src_sel]
+        for cid in admissible_components(t, s, medium.n_interfaces):
+            images = polarization_image_batch(medium, cid, sxy)
+            d_t = relevant_interface(medium, cid.t, cid.dir_t)
+            tree = fmm._tree(txy, images, config, align_y=d_t)[0]
+            orders.append(fmm._pass_order(medium.wavenumbers[s], tree, config))
+        if s == t:
+            tree = fmm._tree(txy, sxy, config)[0]
+            orders.append(fmm._pass_order(medium.wavenumbers[t], tree, config))
     return orders
 
 
@@ -571,7 +610,7 @@ class TestTruncationOrder:
         P = fmm._pass_order(1.5, tree, config)
         assert P == expansions.MAX_SHIFT_ORDER == 129
         for sign in (1, -1):
-            shifts = fmm._child_shifts({}, tree.cell_at(2), P, sign, (1.5, 1.0, 1.0))
+            shifts = fmm._child_shifts(tree.cell_at(2), P, sign, (1.5, 1.0, 1.0))
             for T in shifts.values():
                 assert T.shape == (2 * P - 1, 2 * P - 1)
                 assert np.isfinite(T).all()
@@ -592,9 +631,21 @@ class TestTruncationOrder:
             assert np.max(np.abs(f - d)) <= eps * np.max(np.abs(d))
 
 
+# the builders of point-only work, by the names the FMM reaches them by
+_BUILDERS = {
+    "m2l": "m2l",
+    "rule": "FrozenComponentRule",
+    "shift": "shift_matrix",
+    "fs_m2l": "fs_m2l_matrix",
+    "tree": "QuadTree",
+    "lists": "interaction_lists",
+    "images": "polarization_image_batch",
+}
+
+
 def _count_builds(monkeypatch):
     """Counters on the builders the FMM reaches through its module names."""
-    counts = {"m2l": 0, "rule": 0, "shift": 0}
+    counts = dict.fromkeys(_BUILDERS, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -603,11 +654,8 @@ def _count_builds(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(fmm, "m2l", counting("m2l", fmm.m2l))
-    monkeypatch.setattr(
-        fmm, "FrozenComponentRule", counting("rule", fmm.FrozenComponentRule)
-    )
-    monkeypatch.setattr(fmm, "shift_matrix", counting("shift", fmm.shift_matrix))
+    for name, attr in _BUILDERS.items():
+        monkeypatch.setattr(fmm, attr, counting(name, getattr(fmm, attr)))
     return counts
 
 
@@ -636,6 +684,7 @@ class TestFmmPlan:
         plan = FmmPlan(TWO_LAYER, src.xy, tgt, config)
         plan.evaluate(src.q)
         assert counts["m2l"] > 0 and counts["rule"] > 0 and counts["shift"] > 0
+        assert all(n > 0 for n in counts.values())
         built = dict(counts)
         again = SourceSet(src.xy, rng.uniform(0.5, 1.5, 300))
         reused = plan.evaluate(again.q)
@@ -661,18 +710,36 @@ class TestFmmPlan:
         d = direct_sum(medium, again, tgt, rtol=eps * 1e-2)
         assert np.linalg.norm(f - d) / np.linalg.norm(d) < eps
 
-    def test_operators_are_read_only(self):
+    def test_operators_are_read_only(self, monkeypatch):
+        # record every array the FMM's operator builders return
+        built = {"m2l": [], "rule": [], "shift": [], "fs_m2l": []}
+
+        def recording(name, fn, arrays):
+            def wrapper(*args, **kwargs):
+                value = fn(*args, **kwargs)
+                built[name].extend(arrays(value))
+                return value
+
+            return wrapper
+
+        def rule_arrays(rule):
+            return [a for a in vars(rule).values() if isinstance(a, np.ndarray)]
+
+        for name, arrays in (
+            ("m2l", list),
+            ("rule", rule_arrays),
+            ("shift", lambda a: [a]),
+            ("fs_m2l", lambda a: [a]),
+        ):
+            attr = _BUILDERS[name]
+            monkeypatch.setattr(fmm, attr, recording(name, getattr(fmm, attr), arrays))
         rng = np.random.default_rng(74)
         src, tgt = random_two_layer_cloud(TWO_LAYER, 300, rng)
         plan = FmmPlan(TWO_LAYER, src.xy, tgt, FmmConfig(eps=1e-6, leaf_size=10))
         plan.evaluate(src.q)
-        kinds = set()
-        for key, entry in plan._operators.items():
-            kinds.add(key[0])
-            arr = entry if isinstance(entry, np.ndarray) else entry.lam
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 1.0
-        assert kinds == {"m2l", "rule", "shift"}
+        assert all(built.values())
+        for name, arrays in built.items():
+            assert not any(a.flags.writeable for a in arrays), name
 
     def test_plan_keeps_its_own_copy_of_the_points(self):
         rng = np.random.default_rng(75)
@@ -795,7 +862,7 @@ class TestReproducibility:
 _TRACE_ONCE = """
 import sys
 import numpy as np
-from tracing import Tracer
+from tracing import ROOT_SPAN, Tracer
 from helmlayer.fmm import FmmConfig, evaluate_all, random_two_layer_cloud
 from helmlayer.medium import acoustic
 tracer = Tracer()
@@ -803,9 +870,11 @@ tracer.install()
 m = acoustic((0.0,), (1.0, 1.5))
 src, tgt = random_two_layer_cloud(m, 120, np.random.default_rng(74))
 tracer.active = True
-evaluate_all(m, src, tgt, FmmConfig(eps=1e-6, leaf_size=10))
+tracer.root(evaluate_all)(m, src, tgt, FmmConfig(eps=1e-6, leaf_size=10))
 c = tracer.counts
+own, roots = tracer.self_times()
 print(c["fmm.reaction_pass.calls"], c["fmm.free_space_pass.calls"], c["fmm.far_pairs"])
+print(own[ROOT_SPAN] / roots)
 """
 
 
@@ -828,11 +897,14 @@ class TestBenchmarkTraceHooks:
             text=True,
             check=True,
         ).stdout.split()
-        reaction, free_space, far_pairs = (float(v) for v in out)
+        reaction, free_space, far_pairs, root_share = (float(v) for v in out)
         # two layers: four reaction components, one free-space pass per layer
         assert reaction == 4
         assert free_space == 2
         assert far_pairs > 0
+        # the passes are built and applied inside their spans, so the
+        # root span's own time is evaluate_all's bookkeeping alone
+        assert root_share < 0.05
 
 
 class TestScalingHelpers:
